@@ -43,10 +43,6 @@ class Checkpoint:
         if block_id not in self.saved:
             self.saved[block_id] = self._store.read_block(block_id)
 
-    @property
-    def block_ids(self):
-        return set(self.saved)
-
 
 class BlockStore:
     """In-memory block device with checkpoint/rollback support.
@@ -111,9 +107,6 @@ class BlockStore:
 
     def snapshot(self) -> dict[int, bytes]:
         return dict(self._blocks)
-
-    def restore(self, snap: dict[int, bytes]) -> None:
-        self._blocks = dict(snap)
 
     def save(self, path: str) -> None:
         tmp = path + ".tmp"

@@ -144,20 +144,19 @@ class PageCache:
     def put(self, key, entry: CacheEntry) -> None:
         self.entries[key] = entry
         self.entries.move_to_end(key)
-        self._evict()
+        self._evict(self.capacity)
 
-    def _evict(self) -> None:
-        if len(self.entries) <= self.capacity:
-            return
+    def _evict(self, target: int) -> None:
+        """Evict clean trusted entries, LRU first, until at most `target` remain."""
         for key in list(self.entries):
+            if len(self.entries) <= target:
+                return
             entry = self.entries[key]
             if entry.dirty or entry.trust != TRUSTED:
                 continue
             del self.entries[key]
             if self.on_evict:
                 self.on_evict(key, entry)
-            if len(self.entries) <= self.capacity:
-                return
 
     def over_capacity(self) -> bool:
         return len(self.entries) > self.capacity
@@ -168,13 +167,7 @@ class PageCache:
 
     def clear_all(self) -> None:
         """Test hook: evict every evictable entry (memoizing mappings)."""
-        for key in list(self.entries):
-            entry = self.entries[key]
-            if entry.dirty or entry.trust != TRUSTED:
-                continue
-            del self.entries[key]
-            if self.on_evict:
-                self.on_evict(key, entry)
+        self._evict(0)
 
 
 class MemoTable:
@@ -230,7 +223,18 @@ class PendingOp:
     verdict: Verdict | None = None
     error: Status | None = None
     resolved: bool = False
-    client_kind: str = "op"  # 'op' or 'resync'
+
+
+@dataclass(eq=False)  # _hello finds its own record by identity
+class Expect:
+    """One reply the device awaits from the replica, in send order.
+
+    kind is "hello", "op" (a FILEOP's TRACE_RESP), "commit" or "abort".
+    """
+
+    kind: str
+    seq: int
+    pending: PendingOp | None = None
 
 
 @dataclass
@@ -254,7 +258,6 @@ class DeviceConfig:
     memo_enabled: bool = True
     emergency_bytes: int = 65536
     stencil_source: str = "device"  # or "cloud"
-    durable_data: bool = False  # persist the store at every validated op
     gate_enabled: bool = True  # False only for benchmarking the gate's cost
     crash_hook = None
 
@@ -410,7 +413,7 @@ class DeviceCore:
         self.fds: dict[int, FdEntry] = {}
         self.file_sizes: dict[int, int] = {}
         self.pending: deque[PendingOp] = deque()
-        self._expected: deque[dict] = deque()
+        self._expected: deque[Expect] = deque()
         self.offline_queue: list[tuple] = []
         self._flushing = False
         self.gate = MetadataGate(self)
@@ -424,7 +427,6 @@ class DeviceCore:
         self.next_seq = meta.get("next_seq", 1)
         self.intents: dict[int, str] = {int(k): v for k, v in meta.get("intents", {}).items()}
         self.emergency: dict | None = meta.get("emergency")
-        self._hello_done = False
         self.last_replica_digest = ""
         self._capture_blocks: dict | None = None
         if self.emergency:
@@ -524,41 +526,38 @@ class DeviceCore:
             wire.encode_hello(self.device_id, self.config.stencil_source == "cloud"),
         )
         self.metrics.hellos_sent += 1
-        self._expected.append({"kind": "hello"})
-        self._consume_until(lambda: self._hello_done)
-        self._hello_done = False
-
-    def _consume_until(self, done) -> None:
-        while not done():
-            if not self._expected:
-                raise DeviceError("response expected but none outstanding")
+        expect = Expect("hello", 0)
+        self._expected.append(expect)
+        while expect in self._expected:
             self._consume_next()
 
     def _consume_next(self) -> None:
         expect = self._expected.popleft()
-        raw = self.transport.recv()
-        kind, seq, body = wire.decode_net(raw)
-        if expect["kind"] == "hello":
+        try:
+            kind, seq, body = wire.decode_net(self.transport.recv())
+        except wire.DecodeError:
+            # An undecodable reply answers the request as a refusal would.
+            kind, seq, body = wire.NetKind.ERROR, expect.seq, b""
+        if expect.kind == "hello":
             self._handle_hello_ack(kind, body)
-        elif expect["kind"] == "ack":
+        elif expect.kind != "op":
             self._handle_ack(expect, kind, seq)
-        elif expect["kind"] == "discard-op":
-            pass
-        elif expect["kind"] == "op":
-            self._handle_trace_resp(expect["pending"], kind, seq, body)
-        else:
-            raise DeviceError("unknown expectation %r" % expect)
+        elif not expect.pending.resolved:
+            # A resolved op was rolled back behind an earlier failure.
+            self._handle_trace_resp(expect.pending, kind, seq, body)
 
     def _handle_hello_ack(self, kind: wire.NetKind, body: bytes) -> None:
         if kind != wire.NetKind.ACK:
             raise DeviceError("hello rejected by replica")
         self.last_replica_digest = body[:32].hex()
         if self.config.stencil_source == "cloud" and len(body) > 32:
-            entries, _ = wire.decode_stencil_delta(body, 32)
+            try:
+                entries, _ = wire.decode_stencil_delta(body, 32)
+            except wire.DecodeError as exc:
+                raise DeviceError("malformed stencil map in hello ack: %s" % exc)
             smap = stencil.StencilMap(total_blocks=self.store.total_blocks)
             smap.apply_delta(entries)
             self.smap = smap
-        self._hello_done = True
 
     def fetch_replica_digest(self) -> str:
         """Ask the replica for its durable metadata digest (rides a HELLO)."""
@@ -566,10 +565,10 @@ class DeviceCore:
         self._hello()
         return self.last_replica_digest
 
-    def _handle_ack(self, expect: dict, kind: wire.NetKind, seq: int) -> None:
-        if expect.get("op") == "abort":
+    def _handle_ack(self, expect: Expect, kind: wire.NetKind, seq: int) -> None:
+        if expect.kind == "abort":
             # The abort cascaded at the replica; every intent it covered is done.
-            covered = [s for s in self.intents if s >= expect["seq"]]
+            covered = [s for s in self.intents if s >= expect.seq]
             for s in covered:
                 self.intents.pop(s)
             if covered:
@@ -592,8 +591,7 @@ class DeviceCore:
             fd += 1
         return fd
 
-    def _delegate(self, op: FileOp, fd: int | None, file_inode: int | None, pos_before: int,
-                  client_kind: str = "op") -> PendingOp:
+    def _delegate(self, op: FileOp, fd: int | None, file_inode: int | None, pos_before: int) -> PendingOp:
         if self.offline:
             raise OfflineError("cloud unreachable")
         if self.offline_queue and not self._flushing:
@@ -608,14 +606,13 @@ class DeviceCore:
             file_inode=file_inode,
             pos_before=pos_before,
             checkpoint=self.store.checkpoint(()),
-            client_kind=client_kind,
         )
         pending.smap_before = self.smap.clone()
         self._crash_hook("before_delegate", seq)
         self._intent_set(seq, "delegated")
         self._send(wire.NetKind.FILEOP, seq, wire.encode_fileop(op))
         self.metrics.fileops_sent += 1
-        self._expected.append({"kind": "op", "pending": pending})
+        self._expected.append(Expect("op", seq, pending))
         self.pending.append(pending)
         self._crash_hook("after_replay_staged", seq)
         self._run_local(pending)
@@ -648,9 +645,6 @@ class DeviceCore:
             self.gate.current = None
 
     # -- speculative execution ----------------------------------------------------
-
-    def _page_key(self, inode: int, page: int) -> tuple[int, int]:
-        return (inode, page)
 
     def _speculate(self, pending: PendingOp) -> None:
         """Execute the local twin's advised data movement, checkpointed."""
@@ -711,7 +705,7 @@ class DeviceCore:
     def _payload_from_cache(self, inode: int, offset: int, length: int) -> bytes:
         page = offset // BLOCK_SIZE
         start = offset % BLOCK_SIZE
-        entry = self.cache.get(self._page_key(inode, page))
+        entry = self.cache.get((inode, page))
         if entry is None:
             return bytes(length)
         return bytes(entry.page[start : start + length])
@@ -726,7 +720,7 @@ class DeviceCore:
         pending: PendingOp | None = None,
         trust: str = TRUSTED,
     ) -> None:
-        key = self._page_key(inode, page)
+        key = (inode, page)
         entry = self.cache.get(key)
         if entry is None:
             entry = CacheEntry(page=bytearray(content))
@@ -741,16 +735,15 @@ class DeviceCore:
         if pending is not None and key not in pending.pages:
             pending.pages.append(key)
 
-    def _stage_payload(self, inode: int, pos: int, data: bytes) -> list[tuple[int, int]]:
-        """Copy client payload into cache pages; returns the touched keys."""
-        keys = []
+    def _stage_payload(self, inode: int, pos: int, data: bytes) -> None:
+        """Copy client payload into dirty cache pages."""
         cursor = 0
         while cursor < len(data):
             offset = pos + cursor
             page = offset // BLOCK_SIZE
             start = offset % BLOCK_SIZE
             take = min(len(data) - cursor, BLOCK_SIZE - start)
-            key = self._page_key(inode, page)
+            key = (inode, page)
             entry = self.cache.get(key)
             if entry is None:
                 entry = CacheEntry(page=bytearray(BLOCK_SIZE), valid=[])
@@ -760,9 +753,7 @@ class DeviceCore:
             entry.trust = TRUSTED
             if entry.valid is not None:
                 entry.valid.append((start, start + take))
-            keys.append(key)
             cursor += take
-        return keys
 
     # -- verdicts -------------------------------------------------------------------
 
@@ -781,20 +772,18 @@ class DeviceCore:
         return verdict
 
     def _handle_trace_resp(self, pending: PendingOp, kind: wire.NetKind, seq: int, body: bytes) -> None:
-        if kind == wire.NetKind.ERROR or seq != pending.seq:
-            self.metrics.mismatches += 1
-            self._fail_pending(pending, Verdict(CLOUD_REJECT), None)
-            return
         try:
+            if kind == wire.NetKind.ERROR or seq != pending.seq:
+                raise wire.DecodeError("replica refused seq %d" % pending.seq)
             cloud, ok, offset = wire.decode_outcome_at(pending.op.op, body)
+            delta = None
+            if self.config.stencil_source == "cloud" and offset < len(body):
+                delta, _ = wire.decode_stencil_delta(body, offset)
         except wire.DecodeError:
             self.metrics.mismatches += 1
             self._fail_pending(pending, Verdict(CLOUD_REJECT), None)
             return
         pending.cloud = cloud
-        delta = None
-        if self.config.stencil_source == "cloud" and offset < len(body):
-            delta, _ = wire.decode_stencil_delta(body, offset)
         verdict = self._judge(pending, cloud, ok)
         if verdict.is_match:
             self.metrics.matches += 1
@@ -834,8 +823,7 @@ class DeviceCore:
             entry = self.cache.entries.get(key)
             if entry is not None:
                 entry.trust = TRUSTED
-        if self.config.durable_data:
-            self._persist_store()
+        self._persist_store()
         self._intent_set(pending.seq, "executed")
         self._crash_hook("after_device_exec", pending.seq)
         self._finish_commit(pending)
@@ -845,7 +833,7 @@ class DeviceCore:
         self._crash_hook("after_final_commit_sent", pending.seq)
         self._send(wire.NetKind.COMMIT, pending.seq)
         self.metrics.commits_sent += 1
-        self._expected.append({"kind": "ack", "op": "commit", "seq": pending.seq})
+        self._expected.append(Expect("commit", pending.seq))
         self._crash_hook("after_replica_commit", pending.seq)
 
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
@@ -919,14 +907,10 @@ class DeviceCore:
         self.pending.remove(pending)
         self._fd_done(pending)
         self._mark_failed(pending)
-        # Later responses already in flight are consumed and discarded.
-        for expect in self._expected:
-            if expect["kind"] == "op" and expect["pending"].seq > pending.seq:
-                expect["kind"] = "discard-op"
         if not self.offline:
             self._send(wire.NetKind.ABORT, pending.seq)
             self.metrics.aborts_sent += 1
-            self._expected.append({"kind": "ack", "op": "abort", "seq": pending.seq})
+            self._expected.append(Expect("abort", pending.seq))
         self.next_seq = pending.seq
         self._persist_meta()
         # The local twin may have installed state for aborted ops; force a
@@ -951,11 +935,14 @@ class DeviceCore:
     # -- draining ---------------------------------------------------------------
 
     def _drain_through(self, pending: PendingOp) -> None:
-        self._consume_until(lambda: pending.resolved)
+        while not pending.resolved:
+            if not self._expected:
+                raise DeviceError("response expected but none outstanding")
+            self._consume_next()
 
     def drain_ops(self) -> None:
         """Resolve every outstanding delegated operation (not commit acks)."""
-        while any(e["kind"] in ("op", "discard-op") for e in self._expected):
+        while any(e.kind == "op" for e in self._expected):
             self._consume_next()
 
     def drain_all(self) -> None:
@@ -976,12 +963,12 @@ class DeviceCore:
     def _realign_twins(self, fd: int, entry: FdEntry) -> None:
         if entry.twin_unknown:
             op = FileOp(OpCode.OPEN, fd, entry.flags & ~(OpFlag.CREATE | OpFlag.TRUNC), 0, entry.tokens)
-            self._delegate(op, fd, entry.inode, 0, client_kind="resync")
+            self._delegate(op, fd, entry.inode, 0)
             entry.twin_unknown = False
             entry.twin_pos = 0
         if entry.twin_pos != entry.pos:
             op = FileOp(OpCode.LSEEK, fd, SEEK_SET, entry.pos)
-            self._delegate(op, fd, entry.inode, entry.pos, client_kind="resync")
+            self._delegate(op, fd, entry.inode, entry.pos)
             entry.twin_pos = entry.pos
 
     # -- client API --------------------------------------------------------------------
@@ -1073,7 +1060,7 @@ class DeviceCore:
             page = cursor // BLOCK_SIZE
             start = cursor % BLOCK_SIZE
             take = min(end - cursor, BLOCK_SIZE - start)
-            key = self._page_key(entry.inode, page)
+            key = (entry.inode, page)
             cached = self.cache.get(key)
             if cached is not None:
                 if cached.valid is not None and not _covers(cached.valid, start, start + take):
@@ -1129,7 +1116,7 @@ class DeviceCore:
             return 0
         if entry.pos + len(data) > MAX_FILE_SIZE:
             raise NoSpaceError("write would exceed the maximum file size")
-        keys = self._stage_payload(entry.inode, entry.pos, data)
+        self._stage_payload(entry.inode, entry.pos, data)
         if self.offline:
             if self.cache.over_capacity():
                 raise NoSpaceError("offline write buffer exceeded cache capacity")
@@ -1137,16 +1124,20 @@ class DeviceCore:
             entry.pos += len(data)
             self.file_sizes[entry.inode] = max(self.size_of(entry.inode), entry.pos)
             return len(data)
-        self._realign_twins(fd, entry)
-        op = FileOp(OpCode.WRITE, fd, 0, len(data))
-        pending = self._delegate(op, fd, entry.inode, entry.pos)
-        for key in keys:
-            if key not in pending.pages:
-                pending.pages.append(key)
-        entry.pos += len(data)
+        self._delegate_write(fd, entry, len(data))
         self.file_sizes[entry.inode] = max(self.size_of(entry.inode), entry.pos)
-        entry.twin_pos = entry.pos
         return len(data)
+
+    def _delegate_write(self, fd: int, entry: FdEntry, length: int) -> None:
+        """Delegate a WRITE of `length` staged bytes at entry.pos, pinning its pages."""
+        self._realign_twins(fd, entry)
+        pos = entry.pos
+        pending = self._delegate(FileOp(OpCode.WRITE, fd, 0, length), fd, entry.inode, pos)
+        for page in range(pos // BLOCK_SIZE, (pos + length - 1) // BLOCK_SIZE + 1):
+            if (entry.inode, page) not in pending.pages:
+                pending.pages.append((entry.inode, page))
+        entry.pos += length
+        entry.twin_pos = entry.pos
 
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
         entry = self._fd(fd)
@@ -1293,7 +1284,7 @@ class DeviceCore:
             raw[start : start + take] = data[taken : taken + take]
             self.store.write_block(block, bytes(raw))
             page = cursor // BLOCK_SIZE
-            key = self._page_key(segments[page // per_seg]["inode"], page % per_seg)
+            key = (segments[page // per_seg]["inode"], page % per_seg)
             cached = self.cache.entries.get(key)
             if cached is not None:
                 cached.page[:] = raw
@@ -1323,12 +1314,12 @@ class DeviceCore:
             if phase == "delegated":
                 self._send(wire.NetKind.ABORT, seq)
                 self.metrics.aborts_sent += 1
-                self._expected.append({"kind": "ack", "op": "abort", "seq": seq})
+                self._expected.append(Expect("abort", seq))
                 self.next_seq = min(self.next_seq, seq)
             else:
                 self._send(wire.NetKind.COMMIT, seq)
                 self.metrics.commits_sent += 1
-                self._expected.append({"kind": "ack", "op": "commit", "seq": seq})
+                self._expected.append(Expect("commit", seq))
         self.drain_all()
         if self.offline_queue:
             self._flush_offline_queue()
@@ -1348,15 +1339,8 @@ class DeviceCore:
                         continue
                     saved = entry.pos
                     entry.pos = pos
-                    self._realign_twins(fd, entry)
-                    op = FileOp(OpCode.WRITE, fd, 0, length)
-                    pending = self._delegate(op, fd, entry.inode, pos)
-                    for page in range(pos // BLOCK_SIZE, (pos + length - 1) // BLOCK_SIZE + 1):
-                        key = self._page_key(entry.inode, page)
-                        if key not in pending.pages:
-                            pending.pages.append(key)
+                    self._delegate_write(fd, entry, length)
                     entry.pos = max(saved, pos + length)
-                    entry.twin_pos = pos + length
                 elif item[0] == "close":
                     _, fd = item
                     entry = self.fds.get(fd)

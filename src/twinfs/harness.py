@@ -15,6 +15,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from twinfs.blockstore import BLOCK_SIZE, BlockStore
 from twinfs.device_core import (
@@ -179,24 +180,15 @@ class DropWrite(_CountedBehavior):
         return outcome
 
 
-class RedirectRead(_CountedBehavior):
-    def on_outcome(self, op, outcome):
-        if op.op == OpCode.READ and outcome.trace and self._should_fire():
-            victim = outcome.trace[0]
-            moved = type(victim)(victim.kind, (victim.block + 1) % (1 << 32))
-            outcome.trace = [moved] + outcome.trace[1:]
-            segs = list(outcome.segments)
-            for i, seg in enumerate(segs):
-                if seg.target == victim.block:
-                    segs[i] = type(seg)(seg.kind, moved.block, seg.offset, seg.length, seg.fresh)
-                    break
-            outcome.segments = tuple(segs)
-        return outcome
+class Redirect(_CountedBehavior):
+    """Points the first block request of a READ or WRITE at the next block."""
 
+    def __init__(self, op_code: OpCode, fire_at: int = 1, count: int = 1):
+        super().__init__(fire_at, count)
+        self.op_code = op_code
 
-class RedirectWrite(_CountedBehavior):
     def on_outcome(self, op, outcome):
-        if op.op == OpCode.WRITE and outcome.trace and self._should_fire():
+        if op.op == self.op_code and outcome.trace and self._should_fire():
             victim = outcome.trace[0]
             moved = type(victim)(victim.kind, (victim.block + 1) % (1 << 32))
             outcome.trace = [moved] + outcome.trace[1:]
@@ -265,8 +257,8 @@ class StaleTraceReplay(_CountedBehavior):
 def inject_attack(kind: str, fire_at: int = 1, count: int = 1) -> EvilBehavior:
     table = {
         "drop-write": DropWrite,
-        "redirect-read": RedirectRead,
-        "redirect-write": RedirectWrite,
+        "redirect-read": partial(Redirect, OpCode.READ),
+        "redirect-write": partial(Redirect, OpCode.WRITE),
         "iago-data-request": IagoDataRequest,
         "stale-trace-replay": StaleTraceReplay,
         "extra-request": ExtraRequest,
@@ -333,7 +325,6 @@ def build_system(
         memo_enabled=memo_enabled,
         emergency_bytes=emergency_bytes,
         stencil_source=stencil_source,
-        durable_data=durability is not None,
     )
     config.crash_hook = crash_hook
     meta = None
@@ -785,7 +776,7 @@ def _one_crash_scenario(
 
     restarted = ReplicaSession.load(os.path.join(state_root, "replica"))
     transport = DelayedTransport(LoopbackTransport(restarted.handle_message), 0)
-    config = DeviceConfig(emergency_bytes=0, durable_data=True)
+    config = DeviceConfig(emergency_bytes=0)
     try:
         device2 = DeviceCore.load(durability, transport, LocalTwin(), config)
         device2.reconnect_recover()

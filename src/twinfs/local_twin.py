@@ -113,7 +113,6 @@ class LocalTwin:
     def __init__(self, behavior: EvilBehavior | None = None):
         self.behavior = behavior or EvilBehavior()
         self.engine: Engine | None = None
-        self.last_trace_frames: list[wire.Frame] = []
 
     def reset_engine(self) -> None:
         self.engine = None
@@ -138,6 +137,4 @@ class LocalTwin:
         out_frames = wire.fragment_message(
             wire.FrameKind.TRACE, op.seq, wire.encode_outcome(op.op, outcome)
         )
-        out_frames = self.behavior.on_frames(op, out_frames, self)
-        self.last_trace_frames = list(out_frames)
-        return out_frames
+        return self.behavior.on_frames(op, out_frames, self)

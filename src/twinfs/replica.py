@@ -295,7 +295,15 @@ class ReplicaSession:
     # -- message handling -----------------------------------------------------
 
     def handle_message(self, raw: bytes) -> bytes:
-        kind, seq, body = wire.decode_net(raw)
+        """Answer one message; one that does not decode gets ERROR ERR_BAD_MESSAGE."""
+        seq = 0
+        try:
+            kind, seq, body = wire.decode_net(raw)
+            return self._answer(kind, seq, body)
+        except wire.DecodeError as exc:
+            return _error(seq, ERR_BAD_MESSAGE, str(exc))
+
+    def _answer(self, kind: wire.NetKind, seq: int, body: bytes) -> bytes:
         if kind == wire.NetKind.HELLO:
             _, cloud_stencils, _ = wire.decode_hello(body)
             self.cloud_stencils = cloud_stencils
@@ -318,21 +326,16 @@ class ReplicaSession:
                 resp += wire.encode_stencil_delta(new_map.delta_entries(self._last_stencil))
                 self._last_stencil = new_map
             return wire.encode_net(wire.NetKind.TRACE_RESP, seq, resp)
-        if kind == wire.NetKind.COMMIT:
-            if self.commit(seq):
+        if kind in (wire.NetKind.COMMIT, wire.NetKind.ABORT):
+            done = self.commit(seq) if kind == wire.NetKind.COMMIT else self.abort(seq)
+            if done:
                 return wire.encode_net(wire.NetKind.ACK, seq)
-            return wire.encode_net(
-                wire.NetKind.ERROR, seq, wire.encode_error(ERR_UNKNOWN_TXN, "unknown txn")
-            )
-        if kind == wire.NetKind.ABORT:
-            if self.abort(seq):
-                return wire.encode_net(wire.NetKind.ACK, seq)
-            return wire.encode_net(
-                wire.NetKind.ERROR, seq, wire.encode_error(ERR_UNKNOWN_TXN, "unknown txn")
-            )
-        return wire.encode_net(
-            wire.NetKind.ERROR, seq, wire.encode_error(ERR_BAD_MESSAGE, "unexpected kind")
-        )
+            return _error(seq, ERR_UNKNOWN_TXN, "unknown txn")
+        return _error(seq, ERR_BAD_MESSAGE, "unexpected kind")
+
+
+def _error(seq: int, code: int, message: str) -> bytes:
+    return wire.encode_net(wire.NetKind.ERROR, seq, wire.encode_error(code, message))
 
 
 def bootstrap(metadata_image: bytes, state_dir: str | None = None) -> ReplicaSession:
@@ -347,10 +350,14 @@ class _Handler(socketserver.BaseRequestHandler):
             while True:
                 raw = wire.read_net_message(self.request.recv)
                 if session is None:
-                    kind, _, body = wire.decode_net(raw)
-                    if kind != wire.NetKind.HELLO:
-                        break
-                    _, _, device_id = wire.decode_hello(body)
+                    try:
+                        kind, _, body = wire.decode_net(raw)
+                        if kind != wire.NetKind.HELLO:
+                            break
+                        _, _, device_id = wire.decode_hello(body)
+                    except wire.DecodeError as exc:
+                        self.request.sendall(_error(0, ERR_BAD_MESSAGE, str(exc)))
+                        continue
                     session = server.session_for(device_id)
                 with server.lock_for(session):
                     self.request.sendall(session.handle_message(raw))

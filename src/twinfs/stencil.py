@@ -154,10 +154,6 @@ def _invert_ranges(exclusions) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def classify(smap: StencilMap, block_id: int) -> int:
-    return smap.classify(block_id)
-
-
 def serve_block_read(smap: StencilMap, block_id: int, trusted_block: bytes) -> bytes:
     """Reveal metadata bytes, redact the rest; data blocks are rejected."""
     cls = smap.classify(block_id)

@@ -38,9 +38,6 @@ class LoopbackTransport:
             raise OfflineError("no response pending")
         return self._responses.pop(0)
 
-    def pending(self) -> int:
-        return len(self._responses)
-
     def close(self) -> None:
         self.severed = True
 
@@ -52,7 +49,6 @@ class TcpTransport:
         self._addr = (host, port)
         self._timeout = connect_timeout
         self._sock: socket.socket | None = None
-        self._outstanding = 0
         self.severed = False
 
     def _ensure(self) -> socket.socket:
@@ -66,7 +62,6 @@ class TcpTransport:
     def send(self, raw: bytes) -> None:
         try:
             self._ensure().sendall(raw)
-            self._outstanding += 1
         except OSError as exc:
             raise OfflineError(str(exc))
 
@@ -77,11 +72,7 @@ class TcpTransport:
             raw = wire.read_net_message(self._sock.recv)
         except (OSError, wire.ChannelClosed) as exc:
             raise OfflineError(str(exc))
-        self._outstanding -= 1
         return raw
-
-    def pending(self) -> int:
-        return self._outstanding
 
     def close(self) -> None:
         if self._sock is not None:
@@ -92,7 +83,31 @@ class TcpTransport:
         self.severed = True
 
 
-class DelayedTransport:
+class _Wrapper:
+    """A transport layered over `inner`; severing and closing pass through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def severed(self) -> bool:
+        return self.inner.severed
+
+    @severed.setter
+    def severed(self, value: bool) -> None:
+        self.inner.severed = value
+
+    def sever(self) -> None:
+        self.severed = True
+
+    def restore(self) -> None:
+        self.severed = False
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+class DelayedTransport(_Wrapper):
     """Wraps a transport with a simulated request-response delay.
 
     delay_ms models the full round trip. recv() of the i-th response waits
@@ -102,19 +117,9 @@ class DelayedTransport:
     """
 
     def __init__(self, inner, delay_ms: float = 0.0):
-        self.inner = inner
+        super().__init__(inner)
         self.delay = delay_ms / 1000.0
         self._ready_at: list[float] = []
-
-    @property
-    def severed(self) -> bool:
-        return self.inner.severed
-
-    def sever(self) -> None:
-        self.inner.severed = True
-
-    def restore(self) -> None:
-        self.inner.severed = False
 
     def send(self, raw: bytes) -> None:
         self.inner.send(raw)
@@ -128,29 +133,13 @@ class DelayedTransport:
                 time.sleep(remaining)
         return raw
 
-    def pending(self) -> int:
-        return self.inner.pending()
 
-    def close(self) -> None:
-        self.inner.close()
-
-
-class RecordingTransport:
+class RecordingTransport(_Wrapper):
     """Taps every message crossing the network boundary (taint scanning)."""
 
     def __init__(self, inner, tap):
-        self.inner = inner
+        super().__init__(inner)
         self._tap = tap
-
-    @property
-    def severed(self) -> bool:
-        return self.inner.severed
-
-    def sever(self) -> None:
-        self.inner.sever()
-
-    def restore(self) -> None:
-        self.inner.restore()
 
     def send(self, raw: bytes) -> None:
         self._tap(raw)
@@ -160,9 +149,3 @@ class RecordingTransport:
         raw = self.inner.recv()
         self._tap(raw)
         return raw
-
-    def pending(self) -> int:
-        return self.inner.pending()
-
-    def close(self) -> None:
-        self.inner.close()

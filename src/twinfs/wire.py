@@ -55,6 +55,14 @@ class ChannelClosed(Exception):
     pass
 
 
+def _member(enum_cls, value: int):
+    """enum_cls(value), raising DecodeError for a value the enum lacks."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise DecodeError("unknown %s %d" % (enum_cls.__name__, value))
+
+
 class FrameKind(IntEnum):
     FILEOP = 1
     TRACE = 2
@@ -95,11 +103,8 @@ def decode_frame(raw: bytes) -> Frame:
     kind, seq, length = FRAME_HEADER.unpack_from(raw, 0)
     if length > FRAME_PAYLOAD_MAX:
         raise DecodeError("dishonest payload length %d" % length)
-    try:
-        kind = FrameKind(kind)
-    except ValueError:
-        raise DecodeError("unknown frame kind %d" % kind)
-    return Frame(kind, seq, bytes(raw[FRAME_HEADER.size : FRAME_HEADER.size + length]))
+    body = bytes(raw[FRAME_HEADER.size : FRAME_HEADER.size + length])
+    return Frame(_member(FrameKind, kind), seq, body)
 
 
 def fragment_message(kind: FrameKind, seq: int, blob: bytes) -> list[Frame]:
@@ -178,10 +183,7 @@ def decode_fileop(raw: bytes, seq: int = 0) -> FileOp:
     if len(raw) < _FILEOP.size:
         raise LengthMismatch("fileop body truncated")
     opcode, fd, flags, count, name = _FILEOP.unpack_from(raw, 0)
-    try:
-        opcode = OpCode(opcode)
-    except ValueError:
-        raise DecodeError("unknown op byte %d" % opcode)
+    opcode = _member(OpCode, opcode)
     tokens: tuple[bytes, ...] = ()
     offset = _FILEOP.size
     if opcode == OpCode.OPEN:
@@ -223,13 +225,9 @@ def decode_trace(raw: bytes) -> tuple[list[BlockRequest], bool, Status]:
     trace = []
     for _ in range(count):
         kind, block = _ENTRY.unpack_from(raw, offset)
-        try:
-            kind = ReqKind(kind)
-        except ValueError:
-            raise DecodeError("unknown request kind %d" % kind)
-        trace.append(BlockRequest(kind, block))
+        trace.append(BlockRequest(_member(ReqKind, kind), block))
         offset += _ENTRY.size
-    return trace, bool(flags & OUTCOME_OK_TO_COMMIT), Status(status)
+    return trace, bool(flags & OUTCOME_OK_TO_COMMIT), _member(Status, status)
 
 
 def _encode_segments(segments) -> bytes:
@@ -246,9 +244,8 @@ def _decode_segments(raw: bytes, offset: int) -> tuple[tuple[Segment, ...], int]
     segments = []
     for _ in range(count):
         flags, target, seg_off, length = _SEGMENT.unpack_from(raw, offset)
-        segments.append(
-            Segment(SegKind(flags & 0x7F), target, seg_off, length, bool(flags & SEG_FRESH))
-        )
+        kind = _member(SegKind, flags & 0x7F)
+        segments.append(Segment(kind, target, seg_off, length, bool(flags & SEG_FRESH)))
         offset += _SEGMENT.size
     return tuple(segments), offset
 
@@ -332,11 +329,7 @@ def decode_net(raw: bytes) -> tuple[NetKind, int, bytes]:
     length, kind, seq = _NET_HEAD.unpack_from(raw, 0)
     if length != len(raw) - 4:
         raise LengthMismatch("net length prefix %d does not match body" % length)
-    try:
-        kind = NetKind(kind)
-    except ValueError:
-        raise DecodeError("unknown net kind %d" % kind)
-    return kind, seq, bytes(raw[_NET_HEAD.size :])
+    return _member(NetKind, kind), seq, bytes(raw[_NET_HEAD.size :])
 
 
 def read_net_message(sock_read) -> bytes:
@@ -391,18 +384,21 @@ def encode_stencil_delta(entries) -> bytes:
 
 
 def decode_stencil_delta(raw: bytes, offset: int = 0):
-    (count,) = struct.unpack_from("<H", raw, offset)
-    offset += 2
-    entries = []
-    for _ in range(count):
-        bid, cls, nranges = struct.unpack_from("<IBB", raw, offset)
-        offset += 6
-        ranges = []
-        for _ in range(nranges):
-            start, end = struct.unpack_from("<HH", raw, offset)
-            ranges.append((start, end))
-            offset += 4
-        entries.append((bid, cls, tuple(ranges)))
+    try:
+        (count,) = struct.unpack_from("<H", raw, offset)
+        offset += 2
+        entries = []
+        for _ in range(count):
+            bid, cls, nranges = struct.unpack_from("<IBB", raw, offset)
+            offset += 6
+            ranges = []
+            for _ in range(nranges):
+                start, end = struct.unpack_from("<HH", raw, offset)
+                ranges.append((start, end))
+                offset += 4
+            entries.append((bid, cls, tuple(ranges)))
+    except struct.error:
+        raise LengthMismatch("stencil delta truncated")
     return entries, offset
 
 

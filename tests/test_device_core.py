@@ -8,6 +8,7 @@ from twinfs.device_core import (
     BadFdError,
     DeviceConfig,
     DeviceCore,
+    LOCAL_REJECT,
     MATCH,
     MISMATCH,
     NoSpaceError,
@@ -423,8 +424,81 @@ class TestAttacks:
             dev.fsync(fd)
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
+    @pytest.mark.parametrize("field", ["status", "segment-kind"])
+    def test_unknown_enum_in_twin_trace_is_local_reject(self, field):
+        from twinfs import wire
+        from twinfs.local_twin import EvilBehavior
+        from twinfs.minifs import OpCode
+
+        class PatchTraceByte(EvilBehavior):
+            """Puts a value no enum defines into a READ's TRACE message."""
+
+            def on_frames(self, op, frames, twin):
+                if op.op != OpCode.READ:
+                    return frames
+                blob = bytearray(wire.reassemble_message(frames))
+                if field == "status":
+                    blob[1:5] = (99).to_bytes(4, "little")
+                else:
+                    entries = int.from_bytes(blob[5:9], "little")
+                    blob[9 + 5 * entries + 2] = 5  # the first segment's kind
+                return wire.fragment_message(wire.FrameKind.TRACE, op.seq, bytes(blob))
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"K" * 4096)
+        dev.fsync(fd)
+        dev.cache.clear_all()
+        dev.memo.entries.clear()
+        dev.lseek(fd, 0)
+        system.twin.behavior = PatchTraceByte()
+        pre = dev.store.digest()
+        with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
+            dev.read(fd, 4096)
+        assert dev.store.digest() == pre
+
 
 class TestHostileReplicaResponses:
+    @pytest.mark.parametrize("damage", ["truncated-delta", "unknown-kind"])
+    def test_undecodable_cloud_stencil_reply_rolls_back(self, damage):
+        from twinfs import wire
+        from twinfs.blockstore import BlockStore
+        from twinfs.device_core import DeviceError
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+        armed = {"on": False}
+
+        def damaging(raw):
+            resp = session.handle_message(raw)
+            kind, seq, body = wire.decode_net(resp)
+            # TRACE_RESP and the HELLO ACK carry a stencil delta; commit and abort ACKs are empty.
+            if not (armed["on"] and body and kind in (wire.NetKind.TRACE_RESP, wire.NetKind.ACK)):
+                return resp
+            if damage == "truncated-delta":
+                return wire.encode_net(kind, seq, body[:-1])
+            return resp[:4] + bytes([99]) + resp[5:]
+
+        dev = DeviceCore(
+            BlockStore(256, dict(image.full_blocks)),
+            DelayedTransport(LoopbackTransport(damaging), 0),
+            LocalTwin(),
+            DeviceConfig(emergency_bytes=0, stencil_source="cloud"),
+        )
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.fsync(fd)
+        pre = dev.store.digest()
+        armed["on"] = True
+        dev.write(fd, b"x" * 100)
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.store.digest() == pre
+        with pytest.raises(DeviceError):
+            dev.fetch_replica_digest()
+        assert dev.device_metadata_digest() == session.durable_digest()
+
     def test_malformed_trace_resp_is_cloud_reject(self):
         from twinfs import wire
         from twinfs.blockstore import BlockStore

@@ -6,7 +6,7 @@ import pytest
 from twinfs import wire
 from twinfs.blockstore import BLOCK_SIZE
 from twinfs.minifs import FileOp, OpCode, OpFlag, Status, mkfs
-from twinfs.replica import BadImageError, ReplicaServer, ReplicaSession, bootstrap
+from twinfs.replica import ERR_BAD_MESSAGE, BadImageError, ReplicaServer, ReplicaSession, bootstrap
 
 
 def token(name):
@@ -240,6 +240,21 @@ class TestMessageHandling:
         kind, _, body = wire.decode_net(raw)
         assert kind == wire.NetKind.ERROR
 
+    def test_malformed_message_answers_bad_message(self):
+        session = fresh_session()
+        good = wire.encode_fileop(op_open(1, 0, "f"))
+        malformed = (
+            wire.encode_net(wire.NetKind.FILEOP, 1, good[:-5]),
+            wire.encode_net(wire.NetKind.HELLO, 0, b"\x01"),
+            wire.encode_net(wire.NetKind.ACK, 0)[:4] + bytes([99]) + bytes(8),  # unknown kind
+        )
+        for raw in malformed:
+            kind, _, body = wire.decode_net(session.handle_message(raw))
+            assert kind == wire.NetKind.ERROR
+            assert wire.decode_error(body)[0] == ERR_BAD_MESSAGE
+        raw = session.handle_message(wire.encode_net(wire.NetKind.FILEOP, 1, good))
+        assert wire.decode_net(raw)[:2] == (wire.NetKind.TRACE_RESP, 1)
+
 
 class TestServer:
     def test_sessions_isolated_by_device(self, tmp_path):
@@ -273,3 +288,31 @@ class TestServer:
             assert session2.last_committed == 0
         finally:
             server.shutdown()
+
+    def test_malformed_message_keeps_connection(self):
+        import socket
+
+        server = ReplicaServer(("127.0.0.1", 0))
+        server.register_image(mkfs(64, 32).metadata_image)
+        server.serve_in_thread()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+
+                def ask(raw):
+                    sock.sendall(raw)
+                    return wire.decode_net(wire.read_net_message(sock.recv))
+
+                def refused(raw):
+                    kind, _, body = ask(raw)
+                    return kind == wire.NetKind.ERROR and wire.decode_error(body)[0] == ERR_BAD_MESSAGE
+
+                hello = wire.encode_hello(b"\x03" * 16)
+                good = wire.encode_fileop(op_open(1, 0, "f"))
+                assert refused(wire.encode_net(wire.NetKind.HELLO, 0, hello[:-1]))
+                assert ask(wire.encode_net(wire.NetKind.HELLO, 0, hello))[0] == wire.NetKind.ACK
+                assert refused(wire.encode_net(wire.NetKind.FILEOP, 1, good[:-5]))
+                raw = wire.encode_net(wire.NetKind.FILEOP, 1, good)
+                assert ask(raw)[:2] == (wire.NetKind.TRACE_RESP, 1)
+        finally:
+            server.shutdown()
+            server.server_close()

@@ -25,7 +25,6 @@ from twinfs.stencil import (
     BlockRejected,
     apply_block_write,
     build_stencils,
-    classify,
     metadata_digest,
     refresh,
     scrub_ranges,
@@ -118,12 +117,12 @@ class TestClassify:
     def test_superblock_is_metadata(self):
         _, acc, _ = fresh()
         smap = build_stencils(acc.read_meta)
-        assert classify(smap, 0) == CLASS_METADATA
+        assert smap.classify(0) == CLASS_METADATA
 
     def test_out_of_map_ids_are_unused(self):
         _, acc, _ = fresh()
         smap = build_stencils(acc.read_meta)
-        assert classify(smap, 999999) == CLASS_UNUSED
+        assert smap.classify(999999) == CLASS_UNUSED
 
 
 class TestServeRead:
