@@ -14,6 +14,7 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 import os
 import sys
@@ -52,6 +53,24 @@ def _cmd_mkfs(args) -> int:
     return 0
 
 
+def _yield_to_local_devices(address: str) -> None:
+    """Run a replica bound to loopback as a batch task.
+
+    Such a replica serves only devices on its own host. Woken by a message
+    with the default policy, it preempts the device process that sent it:
+    on a 2-vCPU host that took a device's 4 KiB write from 1.3 to 2.2 ms,
+    and the write went back to 1.3 ms when the two ran on separate CPUs.
+    A batch task does not preempt on wakeup. A replica serving other hosts
+    keeps the default policy.
+    """
+    if not hasattr(os, "SCHED_BATCH") or not ipaddress.ip_address(address).is_loopback:
+        return
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except OSError:
+        pass  # a placement hint only; the replica serves the same either way
+
+
 def _cmd_replica(args) -> int:
     from twinfs.replica import ReplicaServer
 
@@ -60,6 +79,7 @@ def _cmd_replica(args) -> int:
     if args.image:
         with open(args.image, "rb") as f:
             server.register_image(f.read())
+    _yield_to_local_devices(server.server_address[0])
     print(
         json.dumps({"listening": "%s:%d" % server.server_address, "state": args.state}),
         flush=True,

@@ -214,12 +214,14 @@ class PendingOp:
     pos_before: int
     checkpoint: Checkpoint
     dirtied: set[int] = field(default_factory=set)
+    marked: set[int] = field(default_factory=set)  # unused blocks the gate made metadata
     local: OpOutcome | None = None
     cloud: OpOutcome | None = None
     local_violation: str | None = None
     reject_seen: bool = False
     pages: list[tuple[int, int]] = field(default_factory=list)
-    smap_before = None
+    # The stencil entry each block changed since this op began had then.
+    map_undo: dict[int, tuple] = field(default_factory=dict)
     verdict: Verdict | None = None
     error: Status | None = None
     resolved: bool = False
@@ -373,11 +375,15 @@ class MetadataGate:
             if self.current is not None:
                 self.current.checkpoint.add(bid)
                 self.current.dirtied.add(bid)
+            device.stencil_dirty.add(bid)
             if device.smap.classify(bid) == stencil.CLASS_UNUSED:
                 # A freshly allocated metadata block (directory growth) must
                 # read back what the twin wrote; the post-validation refresh
                 # settles its real class, and a rollback restores the old map.
+                device._note_map({bid: device.smap.entry(bid)})
                 device.smap.classes[bid] = stencil.CLASS_METADATA
+                if self.current is not None:
+                    self.current.marked.add(bid)
             device.store.write_block(bid, merged)
             return [wire.Frame(wire.FrameKind.META_WRITE_RESP, frame.seq, wire.FRAG_HEADER.pack(0) + b"\x00")]
         return self._reject(frame.seq, 0)
@@ -420,6 +426,8 @@ class DeviceCore:
         self.twin = twin
         self.channel = SyncChannel(self.gate, twin)
         self.smap = stencil.build_stencils(store.read_block)
+        # Blocks whose bytes or map entry changed since the last refresh.
+        self.stencil_dirty: set[int] = set()
 
         meta = meta or {}
         self.device_id = bytes.fromhex(meta["device_id"]) if meta.get("device_id") else uuid.uuid4().bytes
@@ -555,9 +563,7 @@ class DeviceCore:
                 entries, _ = wire.decode_stencil_delta(body, 32)
             except wire.DecodeError as exc:
                 raise DeviceError("malformed stencil map in hello ack: %s" % exc)
-            smap = stencil.StencilMap(total_blocks=self.store.total_blocks)
-            smap.apply_delta(entries)
-            self.smap = smap
+            self.smap = stencil.StencilMap.of_entries(self.store.total_blocks, entries)
 
     def fetch_replica_digest(self) -> str:
         """Ask the replica for its durable metadata digest (rides a HELLO)."""
@@ -607,7 +613,6 @@ class DeviceCore:
             pos_before=pos_before,
             checkpoint=self.store.checkpoint(()),
         )
-        pending.smap_before = self.smap.clone()
         self._crash_hook("before_delegate", seq)
         self._intent_set(seq, "delegated")
         self._send(wire.NetKind.FILEOP, seq, wire.encode_fileop(op))
@@ -670,6 +675,7 @@ class DeviceCore:
                 base = bytearray(ZERO_BLOCK) if seg.fresh else bytearray(self.store.read_block(seg.target))
                 base[seg.offset : seg.offset + seg.length] = chunk
                 self.store.write_block(seg.target, bytes(base))
+                self.stencil_dirty.add(seg.target)
                 self._fill_cache_page(
                     inode, cursor // BLOCK_SIZE, bytes(base), block=seg.target, pending=pending
                 )
@@ -686,6 +692,7 @@ class DeviceCore:
             block = bytearray(ZERO_BLOCK)
             block[: promote.length] = window
             self.store.write_block(promote.dst_block, bytes(block))
+            self.stencil_dirty.add(promote.dst_block)
 
     def _write_inline(self, pending: PendingOp, inode: int, offset: int, chunk: bytes) -> None:
         tbid, start, end = self.sb.inline_window(inode)
@@ -697,7 +704,9 @@ class DeviceCore:
         self.store.write_block(tbid, bytes(raw))
         # The window now holds payload; gate it out before validation catches
         # up, or the next op's inode write would clobber (and leak) it.
+        self._note_map({tbid: self.smap.entry(tbid)})
         stencil.exclude_range(self.smap, tbid, start, end)
+        self.stencil_dirty.add(tbid)
         page = bytearray(BLOCK_SIZE)
         page[: end - start] = self.store.read_block(tbid)[start:end]
         self._fill_cache_page(pending.file_inode, 0, bytes(page), inline=True, pending=pending)
@@ -818,7 +827,7 @@ class DeviceCore:
         self.store.discard(pending.checkpoint)
         self._memo_update(pending, cloud)
         if pending.dirtied:
-            self._refresh_stencils(delta)
+            self._refresh_stencils(delta, pending.marked)
         for key in pending.pages:
             entry = self.cache.entries.get(key)
             if entry is not None:
@@ -853,16 +862,50 @@ class DeviceCore:
                     self._capture_blocks[key] = seg.target
             cursor += seg.length
 
-    def _refresh_stencils(self, delta) -> None:
-        old = self.smap
+    def _refresh_stencils(self, delta, marked=(), undo=None) -> None:
+        """Bring the map up to date: from the replica's delta in cloud mode,
+        else from the blocks touched since the last refresh.
+
+        After a local-stencil rollback, `undo` holds the entries the
+        rolled-back op began with: the restored bytes date from then, so
+        they are scrubbed against those entries.
+        """
         if self.config.stencil_source == "cloud":
-            if delta is None:
-                return
-            new = old.clone()
-            new.apply_delta(delta)
-        else:
-            new = stencil.refresh(old, set(), self.store.read_block)
-        for bid, start, end in stencil.scrub_ranges(old, new):
+            self.stencil_dirty.clear()
+            entries = list(delta or ())
+            # Blocks the op's gate writes marked as metadata stay unused
+            # unless the replica's delta says otherwise.
+            named = {bid for bid, _, _ in entries}
+            entries += [(bid, stencil.CLASS_UNUSED, ()) for bid in sorted(marked) if bid not in named]
+            if entries:
+                before = {bid: self.smap.entry(bid) for bid, _, _ in entries}
+                self.smap.apply_delta(entries)
+                # A later rollback must keep this op's changes.
+                for p in self.pending:
+                    for bid in before:
+                        p.map_undo.pop(bid, None)
+                self._scrub(before)
+            return
+        undo = undo or {}
+        # A scrub that zeroes bytes the map was derived from goes round again.
+        while self.stencil_dirty:
+            dirty, self.stencil_dirty = self.stencil_dirty, set()
+            self.smap = stencil.refresh(self.smap, dirty, self.store.read_block)
+            self._note_map(self.smap.before)
+            self._scrub({**self.smap.before, **undo})
+            undo = {}
+
+    def _note_map(self, before) -> None:
+        """Keep, for every pending op, the first entry each changing block had."""
+        for p in self.pending:
+            for bid, entry in before.items():
+                p.map_undo.setdefault(bid, entry)
+
+    def _scrub(self, before) -> None:
+        """Zero the bytes the map turned from data into metadata, given the
+        entries the blocks had before."""
+        old = stencil.StencilMap.of_entries(self.smap.total_blocks, before.values())
+        for bid, start, end in stencil.scrub_ranges(old, self.smap):
             if bid >= self.store.total_blocks:
                 continue
             raw = self.store.read_block(bid)
@@ -870,7 +913,7 @@ class DeviceCore:
                 patched = bytearray(raw)
                 patched[start:end] = bytes(end - start)
                 self.store.write_block(bid, bytes(patched))
-        self.smap = new
+                self.stencil_dirty.add(bid)
 
     def _taint_pages(self, pending: PendingOp) -> None:
         for key in pending.pages:
@@ -891,7 +934,9 @@ class DeviceCore:
     def _fail_pending(self, pending: PendingOp, verdict: Verdict, cloud: OpOutcome | None) -> None:
         """Mismatch path: roll back this op and everything stacked on it."""
         later = [p for p in self.pending if p.seq > pending.seq]
+        restored = set(pending.checkpoint.saved)
         for p in sorted(later, key=lambda q: q.seq, reverse=True):
+            restored.update(p.checkpoint.saved)
             self.store.rollback(p.checkpoint)
             self._taint_pages(p)
             p.verdict = Verdict(CLOUD_REJECT)
@@ -900,13 +945,20 @@ class DeviceCore:
             self._fd_done(p)
             self._mark_failed(p)
         self.store.rollback(pending.checkpoint)
-        self.smap = pending.smap_before
         self._taint_pages(pending)
         pending.verdict = verdict
         pending.resolved = True
         self.pending.remove(pending)
         self._fd_done(pending)
         self._mark_failed(pending)
+        if self.config.stencil_source == "cloud":
+            # The map as the op began with it, keeping the deltas of ops
+            # validated since. Earlier pending ops already hold these blocks
+            # in their own undo entries.
+            self.smap.apply_delta(pending.map_undo.values())
+        else:
+            self.stencil_dirty |= restored
+            self._refresh_stencils(None, undo=pending.map_undo)
         if not self.offline:
             self._send(wire.NetKind.ABORT, pending.seq)
             self.metrics.aborts_sent += 1
@@ -1283,6 +1335,7 @@ class DeviceCore:
             raw = bytearray(self.store.read_block(block))
             raw[start : start + take] = data[taken : taken + take]
             self.store.write_block(block, bytes(raw))
+            self.stencil_dirty.add(block)
             page = cursor // BLOCK_SIZE
             key = (segments[page // per_seg]["inode"], page % per_seg)
             cached = self.cache.entries.get(key)

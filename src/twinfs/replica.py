@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import io
 import os
-import struct
+import socket
 import socketserver
+import struct
 import threading
 
 from twinfs import stencil, wire
@@ -77,7 +78,10 @@ class ReplicaSession:
         self.expected_seq = 1
         self.last_committed = 0
         self.cloud_stencils = False
+        # Cloud-stencil mode: the map of the current view, and the blocks it
+        # reclassified since the last TRACE_RESP.
         self._last_stencil: stencil.StencilMap | None = None
+        self._unsent: set[int] = set()
         self.accessor = _StateAccessor(self)
         self.engine: Engine | None = None
         self._journal: io.BufferedWriter | None = None
@@ -281,16 +285,37 @@ class ReplicaSession:
 
     def _apply_abort(self, seq: int) -> None:
         restored_fds: dict[int, FdState] | None = None
+        restored: set[int] = set()
         while self.staged and self.staged[-1][0] >= seq:
             s, delta = self.staged.pop()
             for bid, (old, _) in delta.items():
                 self.view[bid] = old
+            restored.update(delta)
             snap = self.fd_snapshots.pop(s, None)
             if snap is not None:
                 restored_fds = snap
         if restored_fds is not None and self.engine is not None:
             self.engine.fds = restored_fds
         self.expected_seq = seq
+        if self.cloud_stencils:
+            self._restencil(restored)
+
+    def _restencil(self, dirtied) -> None:
+        """Refresh the cloud-stencil map from the blocks the view just changed."""
+        self._last_stencil = stencil.refresh(self._last_stencil, dirtied, self._read_view)
+        self._unsent |= self._last_stencil.changed
+
+    def _stencil_delta(self) -> bytes:
+        """Entries for the blocks reclassified since the last TRACE_RESP.
+
+        An ABORT's reclassifications count too, even where a later op moved
+        a block back to its class at that reply: the device rolled its map
+        back to before the aborted op, not to that reply.
+        """
+        smap = self._last_stencil
+        entries = [smap.entry(bid) for bid in sorted(self._unsent)]
+        self._unsent = set()
+        return wire.encode_stencil_delta(entries)
 
     # -- message handling -----------------------------------------------------
 
@@ -308,23 +333,19 @@ class ReplicaSession:
             _, cloud_stencils, _ = wire.decode_hello(body)
             self.cloud_stencils = cloud_stencils
             ack = bytes.fromhex(self.durable_digest())
+            self._last_stencil = None
+            self._unsent = set()
             if cloud_stencils:
-                self._last_stencil = stencil.build_stencils(self._read_view)
-                ack += wire.encode_stencil_delta(
-                    [
-                        (bid, cls, self._last_stencil.mixed_ranges.get(bid, ()))
-                        for bid, cls in sorted(self._last_stencil.classes.items())
-                    ]
-                )
+                smap = self._last_stencil = stencil.build_stencils(self._read_view)
+                ack += wire.encode_stencil_delta([smap.entry(bid) for bid in sorted(smap.classes)])
             return wire.encode_net(wire.NetKind.ACK, seq, ack)
         if kind == wire.NetKind.FILEOP:
             op = wire.decode_fileop(body, seq=seq)
             outcome, ok = self.replay_fileop(op)
             resp = wire.encode_outcome(op.op, outcome, ok_to_commit=ok)
             if ok and self.cloud_stencils:
-                new_map = stencil.build_stencils(self._read_view)
-                resp += wire.encode_stencil_delta(new_map.delta_entries(self._last_stencil))
-                self._last_stencil = new_map
+                self._restencil(self.staged[-1][1])
+                resp += self._stencil_delta()
             return wire.encode_net(wire.NetKind.TRACE_RESP, seq, resp)
         if kind in (wire.NetKind.COMMIT, wire.NetKind.ABORT):
             done = self.commit(seq) if kind == wire.NetKind.COMMIT else self.abort(seq)
@@ -343,6 +364,10 @@ def bootstrap(metadata_image: bytes, state_dir: str | None = None) -> ReplicaSes
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    def setup(self):
+        # Replies are small writes the device waits on; send them at once.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
     def handle(self):
         server: ReplicaServer = self.server  # type: ignore[assignment]
         session: ReplicaSession | None = None

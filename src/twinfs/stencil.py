@@ -6,19 +6,22 @@ revealed, file-data bytes are redacted, and requests for pure data blocks
 are rejected outright. Directory content counts as metadata (names are
 pre-obfuscated tokens), so directory-referenced blocks stay readable and
 the inline window of a directory inode is never redacted.
+
+A map is built once, when a device starts or a replica greets one, and is
+refreshed after that from the blocks each validated operation dirtied.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
 from twinfs.minifs import (
+    _INODE_HEAD,
     INLINE_MAX,
     INODE_SIZE,
     INODES_PER_BLOCK,
-    Inode,
     MODE_DIR,
     MODE_FILE,
     Superblock,
@@ -28,6 +31,9 @@ CLASS_UNUSED = 0
 CLASS_METADATA = 1
 CLASS_DATA = 2
 CLASS_MIXED = 3
+
+# What a claim by an inode of each mode makes of the claimed block.
+_CLAIM_CLASS = {MODE_FILE: CLASS_DATA, MODE_DIR: CLASS_METADATA}
 
 _CLASS_NAMES = {
     CLASS_UNUSED: "UNUSED",
@@ -43,23 +49,38 @@ class BlockRejected(Exception):
 
 @dataclass
 class StencilMap:
-    """2-bit class per live block; Mixed blocks carry their metadata ranges."""
+    """2-bit class per live block; Mixed blocks carry their metadata ranges.
+
+    `changed` names the blocks whose class or ranges differ from the map this
+    one came from, and `before` holds their entries there (a fresh build
+    names every classified block and has no `before`). A map made by
+    build_stencils or refresh also carries the owner index refresh works
+    from: the geometry it was parsed with (`sb`), the blocks each inode
+    claims, the inodes claiming each block, and the offsets of the inodes
+    with inline file bytes in each table block. A map assembled from delta
+    entries has no index.
+    """
 
     total_blocks: int
     classes: dict[int, int] = field(default_factory=dict)
     mixed_ranges: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     generation: int = 0
+    changed: frozenset[int] = frozenset()
+    before: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = field(default_factory=dict)
+    sb: Superblock | None = None
+    claims: dict[int, tuple[int, frozenset[int]]] = field(default_factory=dict)
+    owners: dict[int, frozenset[int]] = field(default_factory=dict)
+    inline: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+    @classmethod
+    def of_entries(cls, total_blocks: int, entries) -> "StencilMap":
+        """A map holding just the given delta entries (other blocks unused)."""
+        smap = cls(total_blocks=total_blocks)
+        smap.apply_delta(entries)
+        return smap
 
     def classify(self, block_id: int) -> int:
         return self.classes.get(block_id, CLASS_UNUSED)
-
-    def clone(self) -> "StencilMap":
-        return StencilMap(
-            total_blocks=self.total_blocks,
-            classes=dict(self.classes),
-            mixed_ranges=dict(self.mixed_ranges),
-            generation=self.generation,
-        )
 
     def metadata_ranges(self, block_id: int) -> tuple[tuple[int, int], ...]:
         cls = self.classify(block_id)
@@ -83,62 +104,133 @@ class StencilMap:
                 lines.append(self.describe(bid))
         return "\n".join(lines)
 
-    def delta_entries(self, other: "StencilMap"):
-        """Blocks whose classification differs from `other` (for piggybacking)."""
-        entries = []
-        for bid in set(self.classes) | set(other.classes):
-            if self.classify(bid) != other.classify(bid) or self.mixed_ranges.get(
-                bid
-            ) != other.mixed_ranges.get(bid):
-                entries.append(
-                    (bid, self.classify(bid), self.mixed_ranges.get(bid, ()))
-                )
-        return entries
+    def entry(self, block_id: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """(block id, class, mixed ranges): one stencil delta entry."""
+        return block_id, self.classify(block_id), self.mixed_ranges.get(block_id, ())
 
     def apply_delta(self, entries) -> None:
+        entries = list(entries)
         for bid, cls, ranges in entries:
-            if cls == CLASS_UNUSED:
-                self.classes.pop(bid, None)
-                self.mixed_ranges.pop(bid, None)
-            else:
-                self.classes[bid] = cls
-                if cls == CLASS_MIXED:
-                    self.mixed_ranges[bid] = tuple(ranges)
-                else:
-                    self.mixed_ranges.pop(bid, None)
+            self._set(bid, cls, tuple(ranges))
+        self.changed = frozenset(bid for bid, _, _ in entries)
         self.generation += 1
+
+    def _set(self, bid: int, cls: int, ranges: tuple[tuple[int, int], ...]) -> None:
+        if cls == CLASS_UNUSED:
+            self.classes.pop(bid, None)
+        else:
+            self.classes[bid] = cls
+        if cls == CLASS_MIXED:
+            self.mixed_ranges[bid] = ranges
+        else:
+            self.mixed_ranges.pop(bid, None)
 
 
 def build_stencils(read) -> StencilMap:
-    """Parse superblock plus inodes via read(block_id) and classify all live blocks."""
-    block0 = read(0)
-    sb = Superblock.unpack(block0)
-    smap = StencilMap(total_blocks=sb.total_blocks)
+    """Parse superblock plus inodes via read(block_id) and classify all live blocks.
+
+    The layout region is metadata. A block claimed by a file inode is data
+    and one claimed by a directory inode is metadata; when several inodes
+    claim a block, the highest inode index decides. A table block holding a
+    file inode with inline bytes is mixed, whatever claims it.
+    """
+    sb = Superblock.unpack(read(0))
+    smap = StencilMap(total_blocks=sb.total_blocks, sb=sb)
     for bid in range(sb.data_start):
         smap.classes[bid] = CLASS_METADATA
-
-    table_exclusions: dict[int, list[tuple[int, int]]] = {}
-    for index in range(sb.inode_count):
-        tbid, off = sb.inode_location(index)
-        if (index % INODES_PER_BLOCK) == 0:
-            table_raw = read(tbid)
-        inode = Inode.unpack(table_raw[off : off + INODE_SIZE])
-        if inode.mode == MODE_FILE:
-            if inode.inline_len:
-                start = off + INODE_SIZE - INLINE_MAX
-                table_exclusions.setdefault(tbid, []).append((start, off + INODE_SIZE))
-            for dbid in inode.direct:
-                if dbid:
-                    smap.classes[dbid] = CLASS_DATA
-        elif inode.mode == MODE_DIR:
-            for dbid in inode.direct:
-                if dbid:
-                    smap.classes[dbid] = CLASS_METADATA
-
-    for tbid, exclusions in table_exclusions.items():
-        smap.classes[tbid] = CLASS_MIXED
-        smap.mixed_ranges[tbid] = _invert_ranges(exclusions)
+    _reclassify(smap, range(sb.inode_table_start, sb.data_start), read)
+    smap.changed = frozenset(smap.classes)
     return smap
+
+
+def refresh(smap: StencilMap, dirtied, read) -> StencilMap:
+    """Reclassify after a validated operation, re-reading only what it dirtied.
+
+    `dirtied` must name every block whose bytes or map entry changed since
+    `smap` was built or refreshed; the result then equals
+    build_stencils(read). Only the inode-table blocks in `dirtied` are
+    parsed. The blocks their inodes claimed before (from the owner index) or
+    claim now are reclassified, and so is every other dirtied block, so the
+    work follows `dirtied`, not the inode count or the live blocks. The
+    geometry stays the one `smap` was built with. Nothing is copied: the
+    tables are updated in place and handed to the returned map, so `smap`
+    is spent. The new map's `changed` names the blocks whose class or
+    ranges moved and `before` holds their entries in `smap`.
+    """
+    new = replace(smap, generation=smap.generation + 1)
+    new.before = _reclassify(new, dirtied, read)
+    new.changed = frozenset(new.before)
+    return new
+
+
+def _reclassify(smap: StencilMap, dirtied, read) -> dict:
+    """Re-index the dirtied table blocks, then settle every affected block.
+
+    Returns the previous entries of the blocks whose class or ranges moved.
+    """
+    table = range(smap.sb.inode_table_start, smap.sb.data_start)
+    affected = set(dirtied)
+    for tbid in dirtied:
+        if tbid in table:
+            affected |= _index_table_block(smap, tbid, read(tbid))
+    before = {}
+    for bid in affected:
+        cls, ranges = _derive(smap, bid)
+        if cls != smap.classify(bid) or ranges != smap.mixed_ranges.get(bid, ()):
+            before[bid] = smap.entry(bid)
+            smap._set(bid, cls, ranges)
+    return before
+
+
+def _index_table_block(smap: StencilMap, tbid: int, raw: bytes) -> set[int]:
+    """Update the owner index from one table block; return the blocks whose claims moved."""
+    sb = smap.sb
+    first = (tbid - sb.inode_table_start) * INODES_PER_BLOCK
+    moved: set[int] = set()
+    inline = []
+    for index in range(first, min(first + INODES_PER_BLOCK, sb.inode_count)):
+        off = (index - first) * INODE_SIZE
+        mode, inline_len, _, *direct = _INODE_HEAD.unpack_from(raw, off)
+        if mode == MODE_FILE and inline_len:
+            inline.append(off)
+        cls = _CLAIM_CLASS.get(mode)
+        blocks = frozenset(b for b in direct if b) if cls is not None else frozenset()
+        claim = (cls, blocks) if blocks else None
+        old = smap.claims.get(index)
+        if claim == old:
+            continue
+        old_blocks = old[1] if old else frozenset()
+        for bid in old_blocks - blocks:
+            rest = smap.owners.pop(bid) - {index}
+            if rest:
+                smap.owners[bid] = rest
+        for bid in blocks - old_blocks:
+            smap.owners[bid] = smap.owners.get(bid, frozenset()) | {index}
+        if claim:
+            smap.claims[index] = claim
+        else:
+            del smap.claims[index]
+        moved |= old_blocks | blocks
+    if inline:
+        smap.inline[tbid] = tuple(inline)
+    else:
+        smap.inline.pop(tbid, None)
+    return moved
+
+
+def _derive(smap: StencilMap, bid: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The class and mixed ranges the owner index gives a block."""
+    inline = smap.inline.get(bid)
+    if inline:
+        return CLASS_MIXED, _invert_ranges(
+            (off + INODE_SIZE - INLINE_MAX, off + INODE_SIZE) for off in inline
+        )
+    owners = smap.owners.get(bid)
+    if owners:
+        return smap.claims[max(owners)][0], ()
+    if bid < smap.sb.data_start:
+        return CLASS_METADATA, ()
+    return CLASS_UNUSED, ()
 
 
 def _invert_ranges(exclusions) -> tuple[tuple[int, int], ...]:
@@ -189,14 +281,6 @@ def apply_block_write(
     return bytes(out)
 
 
-def refresh(smap: StencilMap, dirtied_metadata, read) -> StencilMap:
-    """Reclassify after a validated metadata-changing operation."""
-    del dirtied_metadata  # classification is rebuilt from the image
-    new = build_stencils(read)
-    new.generation = smap.generation + 1
-    return new
-
-
 def exclude_range(smap: StencilMap, block_id: int, start: int, end: int) -> None:
     """Drop [start, end) from a block's metadata ranges, in place.
 
@@ -215,16 +299,14 @@ def scrub_ranges(old: StencilMap, new: StencilMap):
     """Byte ranges that were data/excluded before and are metadata now.
 
     The device core zeroes these in the trusted image: stale inline payload
-    must not become servable metadata after truncation or promotion.
+    must not become servable metadata after truncation or promotion. Only
+    the blocks either map names in `changed` are visited, so `old` may hold
+    just the previous entries of the blocks `new` moved.
     """
     out: list[tuple[int, int, int]] = []
-    blocks = set(old.classes) | set(new.classes)
-    for bid in blocks:
-        new_ranges = new.metadata_ranges(bid)
-        if not new_ranges:
-            continue
+    for bid in sorted(old.changed | new.changed):
         old_ranges = old.metadata_ranges(bid)
-        for start, end in new_ranges:
+        for start, end in new.metadata_ranges(bid):
             for s, e in _subtract(start, end, old_ranges):
                 out.append((bid, s, e))
     return out

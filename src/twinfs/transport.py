@@ -57,6 +57,9 @@ class TcpTransport:
         if self._sock is None:
             self._sock = socket.create_connection(self._addr, timeout=self._timeout)
             self._sock.settimeout(30.0)
+            # Each message is one small write awaiting a reply: without this,
+            # Nagle holds it back until the peer's delayed ACK (~40 ms).
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return self._sock
 
     def send(self, raw: bytes) -> None:

@@ -373,6 +373,9 @@ def decode_hello(body: bytes) -> tuple[int, bool, bytes]:
 # -- stencil deltas (cloud-generated stencil mode) ---------------------------
 
 
+STENCIL_CLASS_MAX = 3  # classes 0-3: unused, metadata, data, mixed
+
+
 def encode_stencil_delta(entries) -> bytes:
     """entries: iterable of (block_id, class_code, metadata_ranges)."""
     parts = [struct.pack("<H", len(entries))]
@@ -390,6 +393,8 @@ def decode_stencil_delta(raw: bytes, offset: int = 0):
         entries = []
         for _ in range(count):
             bid, cls, nranges = struct.unpack_from("<IBB", raw, offset)
+            if cls > STENCIL_CLASS_MAX:
+                raise DecodeError("unknown stencil class %d" % cls)
             offset += 6
             ranges = []
             for _ in range(nranges):

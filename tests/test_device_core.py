@@ -533,6 +533,72 @@ class TestHostileReplicaResponses:
         assert dev.metrics.mismatches >= 1
 
 
+    @staticmethod
+    def _cloud_device(image, transport):
+        from twinfs.blockstore import BlockStore
+
+        return DeviceCore(
+            BlockStore(256, dict(image.full_blocks)),
+            DelayedTransport(LoopbackTransport(transport), 0),
+            LocalTwin(),
+            DeviceConfig(emergency_bytes=0, stencil_source="cloud"),
+        )
+
+    @staticmethod
+    def _with_class(body: bytes, offset: int, cls: int) -> bytes:
+        """body with every entry of the stencil delta at offset given class cls."""
+        from twinfs import wire
+
+        entries, _ = wire.decode_stencil_delta(body, offset)
+        return body[:offset] + wire.encode_stencil_delta([(b, cls, r) for b, _, r in entries])
+
+    def test_unknown_stencil_class_in_trace_resp_rolls_back(self):
+        from twinfs import wire
+        from twinfs.minifs import OpCode
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+        armed = {"on": False}
+
+        def class_seven(raw):
+            resp = session.handle_message(raw)
+            kind, seq, body = wire.decode_net(resp)
+            if not (armed["on"] and kind == wire.NetKind.TRACE_RESP):
+                return resp
+            _, _, offset = wire.decode_outcome_at(OpCode.WRITE, body)
+            return wire.encode_net(kind, seq, self._with_class(body, offset, 7))
+
+        dev = self._cloud_device(image, class_seven)
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.fsync(fd)
+        pre = dev.store.digest()
+        armed["on"] = True
+        dev.write(fd, b"x" * 100)  # inline: the table block turns mixed
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.store.digest() == pre
+        assert all(cls <= 3 for cls in dev.smap.classes.values())
+
+    def test_unknown_stencil_class_in_hello_is_device_error(self):
+        from twinfs import wire
+        from twinfs.device_core import DeviceError
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+
+        def class_seven(raw):
+            resp = session.handle_message(raw)
+            kind, seq, body = wire.decode_net(resp)
+            if kind != wire.NetKind.ACK or len(body) <= 32:
+                return resp
+            return wire.encode_net(kind, seq, self._with_class(body, 32, 7))
+
+        with pytest.raises(DeviceError, match="malformed stencil map"):
+            self._cloud_device(image, class_seven)
+
+
 class TestEmergency:
     def _system(self):
         return build_system(total_blocks=256, inode_count=32, emergency_bytes=16384)

@@ -161,6 +161,28 @@ class TestCli:
 
         assert callable(replica_main)
 
+    @pytest.mark.parametrize("address, batch", [("127.0.0.1", True), ("192.0.2.7", False)])
+    def test_replica_runs_as_batch_task_only_on_loopback(self, monkeypatch, address, batch):
+        from twinfs import cli
+
+        calls = []
+        monkeypatch.setattr(cli.os, "SCHED_BATCH", 3, raising=False)
+        monkeypatch.setattr(cli.os, "sched_param", lambda priority: priority, raising=False)
+        monkeypatch.setattr(cli.os, "sched_setscheduler", lambda *args: calls.append(args), raising=False)
+        cli._yield_to_local_devices(address)
+        assert calls == ([(0, 3, 0)] if batch else [])
+
+    def test_replica_starts_when_the_scheduling_hint_is_refused(self, monkeypatch):
+        from twinfs import cli
+
+        def refuse(*args):
+            raise PermissionError("policy change not permitted")
+
+        monkeypatch.setattr(cli.os, "SCHED_BATCH", 3, raising=False)
+        monkeypatch.setattr(cli.os, "sched_param", lambda priority: priority, raising=False)
+        monkeypatch.setattr(cli.os, "sched_setscheduler", refuse, raising=False)
+        cli._yield_to_local_devices("127.0.0.1")
+
 
 class TestTcpEndToEnd:
     def test_workload_over_real_sockets(self):

@@ -289,6 +289,33 @@ class TestServer:
         finally:
             server.shutdown()
 
+    def test_both_ends_send_without_delay(self):
+        import socket
+
+        from twinfs.transport import TcpTransport
+
+        accepted = []
+
+        class Recording(ReplicaServer):
+            def process_request(self, request, client_address):
+                accepted.append(request)
+                super().process_request(request, client_address)
+
+        server = Recording(("127.0.0.1", 0))
+        server.register_image(mkfs(64, 32).metadata_image)
+        server.serve_in_thread()
+        transport = TcpTransport(*server.server_address)
+        try:
+            hello = wire.encode_hello(b"\x04" * 16)
+            transport.send(wire.encode_net(wire.NetKind.HELLO, 0, hello))
+            assert wire.decode_net(transport.recv())[0] == wire.NetKind.ACK
+            for sock in (transport._sock, accepted[0]):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            transport.close()
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_message_keeps_connection(self):
         import socket
 

@@ -1,6 +1,7 @@
 import hashlib
 import hmac
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 from twinfs import stencil
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
 from twinfs.minifs import (
+    _INODE_HEAD,
+    DIRECT_COUNT,
+    MODE_DIR,
+    MODE_FILE,
+    MODE_FREE,
     Engine,
     FileOp,
     ImageAccessor,
@@ -91,6 +97,34 @@ class TestBuild:
             )
         smap = build_stencils(acc.read_meta)
         assert smap.classify(result.superblock.data_start) == CLASS_METADATA
+
+    def test_conflicting_claims_resolve_by_highest_inode(self):
+        _, acc, _ = fresh()  # inode table in block 3, data from block 4
+        table = bytearray(acc.read_meta(3))
+        claims = {
+            1: (MODE_DIR, 0, [4]),
+            2: (MODE_FILE, 0, [4]),  # a later file claim makes 4 data
+            5: (MODE_FILE, 0, [1]),  # a file claim on the block bitmap
+            6: (MODE_DIR, 0, [5]),
+            7: (MODE_FILE, 0, [5, 5]),
+            8: (MODE_FILE, 0, [6]),
+            9: (MODE_DIR, 0, [6]),  # a later directory claim makes 6 metadata
+            10: (MODE_FILE, 0, [3]),  # a claim on the table block itself...
+            11: (MODE_FILE, 5, []),  # ...which an inline file there makes mixed
+        }
+        for index, (mode, inline_len, blocks) in claims.items():
+            direct = (blocks + [0] * DIRECT_COUNT)[:DIRECT_COUNT]
+            head = _INODE_HEAD.pack(mode, inline_len, 0, *direct)
+            table[index * 128 : index * 128 + len(head)] = head
+        acc.write_meta(3, bytes(table))
+        smap = build_stencils(acc.read_meta)
+        assert smap.classify(4) == CLASS_DATA
+        assert smap.classify(1) == CLASS_DATA
+        assert smap.classify(5) == CLASS_DATA
+        assert smap.classify(6) == CLASS_METADATA
+        assert smap.classify(3) == CLASS_MIXED
+        assert smap.mixed_ranges[3] == ((0, 11 * 128 + 64), (12 * 128, 4096))
+        assert smap.owners[5] == {6, 7}
 
     def test_bad_magic(self):
         _, acc, _ = fresh()
@@ -274,7 +308,7 @@ class TestRefreshAndScrub:
         smap = build_stencils(acc.read_meta)
         engine.exec_fileop(FileOp(OpCode.CLOSE, 0, 0, 0, (), seq()))
         engine.exec_fileop(FileOp(OpCode.OPEN, 1, OpFlag.TRUNC, 0, (token("f"),), seq()))
-        new = refresh(smap, set(), acc.read_meta)
+        new = refresh(smap, {3}, acc.read_meta)
         assert new.classify(result.superblock.data_start) == CLASS_UNUSED
 
     def test_noop_refresh_keeps_classes(self):
@@ -308,6 +342,94 @@ class TestRefreshAndScrub:
             for bid in inode.direct:
                 if bid:
                     assert smap.classify(bid) == CLASS_DATA
+
+
+# One inode rewrite: (index, mode, inline_len, claimed blocks). The blocks
+# span the layout region (0-4 in a 128/64 image) and the first data blocks,
+# so inodes claim layout blocks, each other's blocks, and a block twice.
+_inode_rewrite = st.tuples(
+    st.integers(0, 63),
+    st.sampled_from([MODE_FREE, MODE_FILE, MODE_DIR, 7]),
+    st.sampled_from([0, 0, 9]),
+    st.lists(st.integers(0, 12), max_size=4),
+)
+
+
+class TestIncrementalRefresh:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_inode_rewrite, min_size=1, max_size=3), min_size=1, max_size=8))
+    def test_refresh_equals_rebuild_on_hostile_images(self, batches):
+        result = mkfs(128, 64)
+        sb = result.superblock
+        blocks = {bid: bytearray(data) for bid, data in result.full_blocks.items()}
+
+        def read(bid):
+            return bytes(blocks.get(bid, ZERO_BLOCK))
+
+        smap = build_stencils(read)
+        for batch in batches:
+            prev = build_stencils(read)
+            dirtied = set()
+            for index, mode, inline_len, claimed in batch:
+                tbid, off = sb.inode_location(index)
+                direct = (claimed + [0] * DIRECT_COUNT)[:DIRECT_COUNT]
+                head = _INODE_HEAD.pack(mode, inline_len, 0, *direct)
+                blocks.setdefault(tbid, bytearray(BLOCK_SIZE))[off : off + len(head)] = head
+                dirtied.add(tbid)
+            smap = refresh(smap, dirtied, read)
+            full = build_stencils(read)
+            assert smap.classes == full.classes
+            assert smap.mixed_ranges == full.mixed_ranges
+            moved = {b for b in set(prev.classes) | set(full.classes) if prev.entry(b) != full.entry(b)}
+            assert smap.changed == moved
+            assert smap.before == {b: prev.entry(b) for b in moved}
+
+    def test_refresh_reads_only_the_dirtied_table_block(self):
+        result = mkfs(262144, 4096)
+        blocks = dict(result.full_blocks)
+        smap = build_stencils(lambda bid: blocks.get(bid, ZERO_BLOCK))
+        tbid = result.superblock.inode_table_start + 100
+        reads = []
+
+        def read(bid):
+            reads.append(bid)
+            return blocks.get(bid, ZERO_BLOCK)
+
+        refresh(smap, {1, tbid}, read)
+        assert reads == [tbid]
+
+    def test_refresh_work_does_not_grow_with_live_blocks(self):
+        # Every inode of a 1 GiB image claims DIRECT_COUNT blocks: 49152
+        # live data blocks. Copying any table of the map would allocate
+        # megabytes; refreshing one rewritten inode allocates a few KiB.
+        result = mkfs(262144, 4096)
+        sb = result.superblock
+        blocks = {bid: bytearray(data) for bid, data in result.full_blocks.items()}
+
+        def claim(index, first):
+            tbid, off = sb.inode_location(index)
+            direct = range(first, first + DIRECT_COUNT)
+            head = _INODE_HEAD.pack(MODE_FILE, 0, 0, *direct)
+            blocks.setdefault(tbid, bytearray(BLOCK_SIZE))[off : off + len(head)] = head
+            return tbid
+
+        for index in range(1, sb.inode_count):
+            claim(index, sb.data_start + index * DIRECT_COUNT)
+
+        def read(bid):
+            return bytes(blocks.get(bid, ZERO_BLOCK))
+
+        smap = build_stencils(read)
+        assert len(smap.classes) > 49000
+        tbid = claim(100, sb.data_start + sb.inode_count * DIRECT_COUNT)
+        tracemalloc.start()
+        try:
+            smap = refresh(smap, {tbid}, read)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(smap.changed) == 2 * DIRECT_COUNT
+        assert peak < 64 * 1024
 
 
 class TestMetadataDigest:

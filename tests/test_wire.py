@@ -254,6 +254,12 @@ class TestNetCodec:
         assert decoded == entries
         assert offset == len(raw)
 
+    @pytest.mark.parametrize("cls", [4, 7, 255])
+    def test_stencil_delta_rejects_unknown_class(self, cls):
+        raw = wire.encode_stencil_delta([(4, 2, ()), (5, cls, ())])
+        with pytest.raises(wire.DecodeError, match="stencil class"):
+            wire.decode_stencil_delta(raw)
+
 
 def _protocol_vectors():
     text = PROTOCOL.read_text()
