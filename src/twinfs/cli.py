@@ -5,7 +5,7 @@
     twinfs run --profile P --delay MS [--attack K] [--untrusted-reads] ...
     twinfs crashes --ops N [--seeds ...]
     twinfs audit-stencil IMAGE
-    twinfs bench --iozone-like MODE --size BYTES
+    twinfs bench --profile P [--seconds S]
 
 Reports are JSON on stdout. `twinfs-replica` is a shortcut for the replica
 subcommand.
@@ -18,6 +18,7 @@ import ipaddress
 import json
 import os
 import sys
+import time
 
 from twinfs import harness, stencil
 from twinfs.blockstore import BLOCK_SIZE
@@ -113,12 +114,12 @@ def _cmd_run(args) -> int:
     print(json.dumps(report, indent=2))
     if args.attack:
         return 3 if report["attack_detected"] else 4
-    healthy = (
-        report["taint_clean"]
-        and report["oracle_failures"] == 0
-        and report["verdicts"]["mismatch"] == 0
-    )
-    return 0 if healthy else 1
+    return 0 if _healthy(report) else 1
+
+
+def _healthy(report: dict) -> bool:
+    """No payload leaked, the oracle agreed and no verdict mismatched."""
+    return report["taint_clean"] and not report["oracle_failures"] and not report["verdicts"]["mismatch"]
 
 
 def _cmd_crashes(args) -> int:
@@ -142,9 +143,23 @@ def _cmd_audit_stencil(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = harness.bench_iozone_like(args.iozone_like, args.size)
-    print(json.dumps(report, indent=2))
-    return 0
+    """Run seeds 0, 1, ... of a profile for `seconds`, at least once; ops/s is over profile time."""
+    start = time.monotonic()
+    reports: list[dict] = []
+    while not reports or time.monotonic() - start < args.seconds:
+        reports.append(harness.run_workload(args.profile, seed=len(reports)))
+    ops = sum(r["ops"] for r in reports)
+    healthy = all(map(_healthy, reports))
+    print(json.dumps({
+        "profile": args.profile,
+        "runs": len(reports),
+        "ops": ops,
+        "ops_per_s": round(ops / max(sum(r["elapsed_s"] for r in reports), 1e-3), 1),
+        "rpc_per_op": round(sum(r["rpc_count"] for r in reports) / ops, 3),
+        "verdicts": {k: sum(r["verdicts"][k] for r in reports) for k in ("match", "mismatch")},
+        "healthy": healthy,
+    }, indent=2))
+    return 0 if healthy else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,13 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.set_defaults(fn=_cmd_audit_stencil)
 
-    p = sub.add_parser("bench", help="gate-on vs gate-off microbenchmark")
-    p.add_argument(
-        "--iozone-like",
-        choices=("seq-write", "seq-read", "rand-write", "rand-read"),
-        required=True,
-    )
-    p.add_argument("--size", type=int, default=524288)
+    p = sub.add_parser("bench", help="run a profile repeatedly for a fixed time")
+    p.add_argument("--profile", choices=harness.PROFILES, required=True)
+    p.add_argument("--seconds", type=float, default=10.0)
     p.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -25,6 +25,7 @@ from twinfs.blockstore import BLOCK_SIZE, BlockStore, Checkpoint, OutOfRangeErro
 from twinfs.local_twin import LocalTwin, SyncChannel
 from twinfs.minifs import (
     FileOp,
+    INLINE_MAX,
     INODE_SIZE,
     Inode,
     MAX_FILE_SIZE,
@@ -260,7 +261,6 @@ class DeviceConfig:
     memo_enabled: bool = True
     emergency_bytes: int = 65536
     stencil_source: str = "device"  # or "cloud"
-    gate_enabled: bool = True  # False only for benchmarking the gate's cost
     crash_hook = None
 
     def __post_init__(self):
@@ -339,15 +339,10 @@ class MetadataGate:
 
     def __call__(self, frame: wire.Frame) -> list[wire.Frame]:
         device = self.device
-        gated = device.config.gate_enabled
         if frame.kind == wire.FrameKind.META_READ_REQ:
             bid = int.from_bytes(wire.reassemble_message([frame])[:4], "little")
             if bid >= device.store.total_blocks:
                 return wire.fragment_message(wire.FrameKind.META_READ_RESP, frame.seq, ZERO_BLOCK)
-            if not gated:
-                return wire.fragment_message(
-                    wire.FrameKind.META_READ_RESP, frame.seq, device.store.read_block(bid)
-                )
             try:
                 data = stencil.serve_block_read(device.smap, bid, device.store.read_block(bid))
             except stencil.BlockRejected:
@@ -364,17 +359,11 @@ class MetadataGate:
             if bid >= device.store.total_blocks or len(data) != BLOCK_SIZE:
                 return self._reject(frame.seq, bid)
             try:
-                if gated:
-                    merged = stencil.apply_block_write(
-                        device.smap, bid, data, device.store.read_block(bid)
-                    )
-                else:
-                    merged = bytes(data)
+                merged = stencil.apply_block_write(device.smap, bid, data, device.store.read_block(bid))
             except stencil.BlockRejected:
                 return self._reject(frame.seq, bid)
-            if self.current is not None:
-                self.current.checkpoint.add(bid)
-                self.current.dirtied.add(bid)
+            self.current.checkpoint.add(bid)
+            self.current.dirtied.add(bid)
             device.stencil_dirty.add(bid)
             if device.smap.classify(bid) == stencil.CLASS_UNUSED:
                 # A freshly allocated metadata block (directory growth) must
@@ -382,16 +371,14 @@ class MetadataGate:
                 # settles its real class, and a rollback restores the old map.
                 device._note_map({bid: device.smap.entry(bid)})
                 device.smap.classes[bid] = stencil.CLASS_METADATA
-                if self.current is not None:
-                    self.current.marked.add(bid)
+                self.current.marked.add(bid)
             device.store.write_block(bid, merged)
             return [wire.Frame(wire.FrameKind.META_WRITE_RESP, frame.seq, wire.FRAG_HEADER.pack(0) + b"\x00")]
         return self._reject(frame.seq, 0)
 
     def _reject(self, seq: int, bid: int) -> list[wire.Frame]:
         self.device.metrics.rejects_served += 1
-        if self.current is not None:
-            self.current.reject_seen = True
+        self.current.reject_seen = True
         payload = wire.FRAG_HEADER.pack(0) + bid.to_bytes(4, "little") + b"\x01"
         return [wire.Frame(wire.FrameKind.REJECT, seq, payload)]
 
@@ -426,7 +413,8 @@ class DeviceCore:
         self.twin = twin
         self.channel = SyncChannel(self.gate, twin)
         self.smap = stencil.build_stencils(store.read_block)
-        # Blocks whose bytes or map entry changed since the last refresh.
+        # Blocks whose bytes or map entry changed since the last refresh. A
+        # scrub's zeroing is left out: it never touches what the map is read from.
         self.stencil_dirty: set[int] = set()
 
         meta = meta or {}
@@ -657,6 +645,12 @@ class DeviceCore:
         op = pending.op
         if op.op != OpCode.WRITE or local.status != Status.OK:
             return
+        targets = [seg.target for seg in local.segments if seg.kind == SegKind.BLOCK]
+        if local.promote is not None:
+            targets.append(local.promote.dst_block)
+        if not all(self._may_hold_payload(bid) for bid in targets):
+            pending.local_violation = "payload advised into a block outside the data region"
+            return
         inode = pending.file_inode
         cp = pending.checkpoint
         for req in local.trace:
@@ -668,9 +662,6 @@ class DeviceCore:
         for seg in local.segments:
             chunk = self._payload_from_cache(inode, cursor, seg.length)
             if seg.kind == SegKind.BLOCK:
-                if not 0 <= seg.target < self.store.total_blocks:
-                    cursor += seg.length
-                    continue
                 cp.add(seg.target)
                 base = bytearray(ZERO_BLOCK) if seg.fresh else bytearray(self.store.read_block(seg.target))
                 base[seg.offset : seg.offset + seg.length] = chunk
@@ -683,16 +674,20 @@ class DeviceCore:
                 self._write_inline(pending, seg.target, seg.offset, chunk)
             cursor += seg.length
 
+    def _may_hold_payload(self, bid: int) -> bool:
+        """Client payload lands only in data or unused blocks past the layout."""
+        in_data_region = self.sb.data_start <= bid < self.store.total_blocks
+        return in_data_region and self.smap.classify(bid) in (stencil.CLASS_DATA, stencil.CLASS_UNUSED)
+
     def _apply_promote(self, pending: PendingOp, promote) -> None:
         tbid, start, end = self.sb.inline_window(promote.inode)
         pending.checkpoint.add(tbid)
-        if 0 <= promote.dst_block < self.store.total_blocks:
-            pending.checkpoint.add(promote.dst_block)
-            window = self.store.read_block(tbid)[start : start + promote.length]
-            block = bytearray(ZERO_BLOCK)
-            block[: promote.length] = window
-            self.store.write_block(promote.dst_block, bytes(block))
-            self.stencil_dirty.add(promote.dst_block)
+        pending.checkpoint.add(promote.dst_block)
+        window = self.store.read_block(tbid)[start : start + promote.length]
+        block = bytearray(ZERO_BLOCK)
+        block[: promote.length] = window
+        self.store.write_block(promote.dst_block, bytes(block))
+        self.stencil_dirty.add(promote.dst_block)
 
     def _write_inline(self, pending: PendingOp, inode: int, offset: int, chunk: bytes) -> None:
         tbid, start, end = self.sb.inline_window(inode)
@@ -886,14 +881,11 @@ class DeviceCore:
                         p.map_undo.pop(bid, None)
                 self._scrub(before)
             return
-        undo = undo or {}
-        # A scrub that zeroes bytes the map was derived from goes round again.
-        while self.stencil_dirty:
+        if self.stencil_dirty:
             dirty, self.stencil_dirty = self.stencil_dirty, set()
             self.smap = stencil.refresh(self.smap, dirty, self.store.read_block)
             self._note_map(self.smap.before)
-            self._scrub({**self.smap.before, **undo})
-            undo = {}
+            self._scrub({**self.smap.before, **(undo or {})})
 
     def _note_map(self, before) -> None:
         """Keep, for every pending op, the first entry each changing block had."""
@@ -903,17 +895,29 @@ class DeviceCore:
 
     def _scrub(self, before) -> None:
         """Zero the bytes the map turned from data into metadata, given the
-        entries the blocks had before."""
+        entries the blocks had before.
+
+        Only data-region blocks and the inline windows of table blocks can
+        hold payload, so nothing else is zeroed: not the layout, and not the
+        inode heads the map is classified from.
+        """
         old = stencil.StencilMap.of_entries(self.smap.total_blocks, before.values())
+        sb = self.sb
         for bid, start, end in stencil.scrub_ranges(old, self.smap):
-            if bid >= self.store.total_blocks:
+            if sb.data_start <= bid < self.store.total_blocks:
+                spans = [(start, end)]
+            elif sb.inode_table_start <= bid < sb.data_start:
+                windows = range(INODE_SIZE - INLINE_MAX, BLOCK_SIZE, INODE_SIZE)
+                spans = [(max(start, w), min(end, w + INLINE_MAX)) for w in windows]
+            else:
                 continue
             raw = self.store.read_block(bid)
-            if any(raw[start:end]):
-                patched = bytearray(raw)
-                patched[start:end] = bytes(end - start)
+            patched = bytearray(raw)
+            for s, e in spans:
+                if s < e:
+                    patched[s:e] = bytes(e - s)
+            if patched != raw:
                 self.store.write_block(bid, bytes(patched))
-                self.stencil_dirty.add(bid)
 
     def _taint_pages(self, pending: PendingOp) -> None:
         for key in pending.pages:

@@ -789,100 +789,3 @@ def _one_crash_scenario(
     if dd != rd:
         return "digest divergence device=%s replica=%s" % (dd[:12], rd[:12])
     return None
-
-
-# -- microbenchmark ----------------------------------------------------------------------
-
-
-def bench_iozone_like(mode: str, size: int, chunk: int = BLOCK_SIZE, seed: int = 0) -> dict:
-    """Read/write throughput with the stencil gate on versus bypassed.
-
-    The gate-off run serves every metadata block verbatim (no classification,
-    redaction or merge), isolating the gate's marginal cost; a raw blockstore
-    pass is reported for context.
-    """
-    if mode not in ("seq-write", "seq-read", "rand-write", "rand-read"):
-        raise ValueError("mode must be one of seq-write, seq-read, rand-write, rand-read")
-    size = min(max(size, chunk), 4 * 1024 * 1024)
-    span_max = 12 * BLOCK_SIZE
-
-    def stack_run(gate: bool) -> float:
-        system = build_system(total_blocks=8192, inode_count=128)
-        system.device.config.gate_enabled = gate
-        dev = system.device
-        rng = random.Random(seed)
-        spans = []
-        remaining = size
-        index = 0
-        while remaining > 0:
-            spans.append(("b%d" % index, min(remaining, span_max)))
-            remaining -= span_max
-            index += 1
-
-        def prefill():
-            fds = {}
-            for name, span in spans:
-                fd = dev.open(name, OpFlag.CREATE)
-                for off in range(0, span, chunk):
-                    dev.write(fd, rng.randbytes(min(chunk, span - off)))
-                dev.fsync(fd)
-                fds[name] = fd
-            return fds
-
-        if mode == "seq-write":
-            start = time.monotonic()
-            fds = prefill()
-            elapsed = time.monotonic() - start
-        else:
-            fds = prefill()
-            dev.cache.clear_all()
-            dev.memo.entries.clear()
-            start = time.monotonic()
-            for name, span in spans:
-                fd = fds[name]
-                offsets = list(range(0, span, chunk))
-                if "rand" in mode:
-                    rng.shuffle(offsets)
-                for off in offsets:
-                    dev.lseek(fd, off)
-                    if "write" in mode:
-                        dev.write(fd, rng.randbytes(min(chunk, span - off)))
-                    else:
-                        dev.read(fd, min(chunk, span - off))
-                if "write" in mode:
-                    dev.fsync(fd)
-            elapsed = time.monotonic() - start
-        for fd in fds.values():
-            dev.close(fd)
-        return elapsed
-
-    def native_run() -> float:
-        image = mkfs(8192, 128)
-        store = BlockStore(8192, dict(image.full_blocks))
-        rng = random.Random(seed)
-        blocks = size // BLOCK_SIZE + 1
-        order = list(range(blocks))
-        if "rand" in mode:
-            rng.shuffle(order)
-        start = time.monotonic()
-        for i in order:
-            bid = image.superblock.data_start + (i % (8192 - image.superblock.data_start))
-            if "write" in mode:
-                store.write_block(bid, rng.randbytes(BLOCK_SIZE))
-            else:
-                store.read_block(bid)
-        return time.monotonic() - start
-
-    gated_s = stack_run(True)
-    ungated_s = max(stack_run(False), 1e-9)
-    native_s = max(native_run(), 1e-9)
-    return {
-        "mode": mode,
-        "bytes": size,
-        "gated_seconds": round(gated_s, 4),
-        "ungated_seconds": round(ungated_s, 4),
-        "native_seconds": round(native_s, 4),
-        "gated_mb_per_s": round(size / max(gated_s, 1e-9) / 1e6, 2),
-        "ungated_mb_per_s": round(size / ungated_s / 1e6, 2),
-        "gate_overhead": round(gated_s / ungated_s, 3),
-    }

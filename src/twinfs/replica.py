@@ -110,8 +110,8 @@ class ReplicaSession:
         session.sb = Superblock.unpack(session.base[:BLOCK_SIZE])
         path = os.path.join(state_dir, "journal.bin")
         if os.path.exists(path):
-            with open(path, "rb") as f:
-                session._replay_journal(f.read())
+            with open(path, "r+b") as f:
+                f.truncate(session._replay_journal(f.read()))
         session._open_journal()
         session.engine = Engine(session.accessor)
         return session
@@ -143,10 +143,18 @@ class ReplicaSession:
         self._journal.flush()
         os.fsync(self._journal.fileno())
 
-    def _replay_journal(self, raw: bytes) -> None:
+    def _replay_journal(self, raw: bytes) -> int:
+        """Replay every whole record; return the length they take up.
+
+        A record cut short by a crash is dropped with whatever follows it:
+        each record is fsynced before its reply, so it was never answered.
+        """
         offset = 0
-        while offset < len(raw):
+        while offset + _J_HEAD.size <= len(raw):
             kind, seq, count = _J_HEAD.unpack_from(raw, offset)
+            body = count * (4 + BLOCK_SIZE) if kind == _J_STAGED else 0
+            if offset + _J_HEAD.size + body > len(raw):
+                break
             offset += _J_HEAD.size
             if kind == _J_STAGED:
                 delta: dict[int, tuple[bytes, bytes]] = {}
@@ -165,6 +173,7 @@ class ReplicaSession:
                 self._apply_abort(seq)
             else:
                 raise BadImageError("corrupt journal record kind %d" % kind)
+        return offset
 
     def compact(self) -> None:
         """Fold committed deltas into the base image; keep staged records."""

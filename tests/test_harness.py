@@ -103,18 +103,6 @@ class TestCrashExploration:
         assert report["failures"] == []
 
 
-class TestBench:
-    def test_seq_write_reports_both_modes(self):
-        report = harness.bench_iozone_like("seq-write", 131072)
-        assert report["gated_seconds"] > 0
-        assert report["ungated_seconds"] > 0
-        assert report["gated_mb_per_s"] > 0
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            harness.bench_iozone_like("warp", 1024)
-
-
 class TestCli:
     def test_mkfs_emits_images(self, tmp_path, capsys):
         rc = cli_main(["mkfs", "--blocks", "64", "--inodes", "32", str(tmp_path / "out")])
@@ -151,10 +139,38 @@ class TestCli:
         assert "block 0: META" in out
 
     def test_bench_subcommand(self, capsys):
-        rc = cli_main(["bench", "--iozone-like", "seq-write", "--size", "65536"])
+        rc = cli_main(["bench", "--profile", "robot", "--seconds", "0"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["mode"] == "seq-write"
+        assert report["profile"] == "robot"
+        assert report["runs"] == 1
+        assert report["ops"] > 0 and report["ops_per_s"] > 0 and report["rpc_per_op"] > 0
+        assert report["verdicts"]["match"] > 0 and report["verdicts"]["mismatch"] == 0
+        assert report["healthy"]
+
+    def test_bench_runs_seed_after_seed_and_fails_on_an_unhealthy_run(self, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from twinfs import cli
+
+        seeds = []
+
+        def run_workload(profile, seed):
+            seeds.append(seed)
+            verdicts = {"match": 9, "mismatch": int(seed == 1)}
+            return {"ops": 10, "elapsed_s": 0.5, "rpc_count": 20, "verdicts": verdicts,
+                    "taint_clean": True, "oracle_failures": 0}
+
+        clock = iter(range(100))
+        monkeypatch.setattr(cli.harness, "run_workload", run_workload)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        rc = cli_main(["bench", "--profile", "camera", "--seconds", "2.5"])
+        assert rc == 1
+        assert seeds == [0, 1, 2]
+        assert json.loads(capsys.readouterr().out) == {
+            "profile": "camera", "runs": 3, "ops": 30, "ops_per_s": 20.0, "rpc_per_op": 2.0,
+            "verdicts": {"match": 27, "mismatch": 1}, "healthy": False,
+        }
 
     def test_replica_entry_point_exists(self):
         from twinfs.cli import replica_main

@@ -211,6 +211,28 @@ class TestJournalPersistence:
         assert revived.durable_digest() == digest
         assert [s for s, _ in revived.staged] == [2]
 
+    # The journal ends with STAGED 1, COMMIT 1 and an 8213-byte STAGED 2;
+    # each cut tears one of the last two records.
+    @pytest.mark.parametrize("cut", [1, 3, 100, 4100, 8210, 8218])
+    def test_torn_tail_is_dropped_and_appends_replay(self, tmp_path, cut):
+        state = str(tmp_path / "rep")
+        session = fresh_session(state_dir=state)
+        session.replay_fileop(op_open(1, 0, "f"))
+        session.commit(1)
+        session.replay_fileop(op_open(2, 1, "g"))
+        session.close()
+        journal = tmp_path / "rep" / "journal.bin"
+        journal.write_bytes(journal.read_bytes()[:-cut])
+        revived = ReplicaSession.load(state)
+        blocks = range(revived.sb.total_blocks)
+        assert all(len(revived._read_view(bid)) == BLOCK_SIZE for bid in blocks)
+        assert revived.expected_seq == 2  # STAGED 2 was never answered
+        revived.replay_fileop(op_open(2, 2, "h"))
+        revived.close()
+        again = ReplicaSession.load(state)
+        assert again.expected_seq == 3
+        assert [again._read_view(bid) for bid in blocks] == [revived._read_view(bid) for bid in blocks]
+
 
 class TestMessageHandling:
     def test_hello_ack_carries_digest(self):

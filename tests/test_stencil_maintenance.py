@@ -20,6 +20,7 @@ from twinfs.local_twin import EvilBehavior
 from twinfs.minifs import (
     BlockRequest,
     DIRECT_COUNT,
+    INODE_SIZE,
     MODE_DIR,
     MODE_FILE,
     MODE_FREE,
@@ -202,7 +203,9 @@ def test_rollback_behind_a_validated_op_keeps_that_ops_classes(stencil_source):
 
 def test_speculative_write_outside_the_gate_is_reclassified():
     # A twin places a write's payload in the second inode-table block, which
-    # no gate write touches; the payload reads as an inode claiming a block.
+    # no gate write touches, where it would read as an inode claiming a
+    # block. The device refuses to write it: the table block keeps its
+    # inodes, the gate never serves the payload, and nothing claims the block.
     image = mkfs(BLOCKS, 2 * INODES)
     table = image.superblock.inode_table_start + 1
     claimed = image.superblock.data_start + 8
@@ -230,8 +233,12 @@ def test_speculative_write_outside_the_gate_is_reclassified():
     dev._refresh_stencils = checked_refresh
     fd = dev.open("f0", OpFlag.CREATE)
     dev.write(fd, b"A" * 4096)
+    before = dev.store.read_block(table)
     evil.armed = True
     dev.write(fd, bytes(payload))
+    assert dev.store.read_block(table) == before
+    served = stencil.serve_block_read(dev.smap, table, dev.store.read_block(table))
+    assert bytes(payload[: _INODE_HEAD.size]) not in served
     with pytest.raises(VerificationFailedError):
         dev.fsync(fd)
     assert dev.smap.classify(claimed) == CLASS_UNUSED
@@ -239,9 +246,9 @@ def test_speculative_write_outside_the_gate_is_reclassified():
 
 def test_refresh_repeats_when_a_scrub_rewrites_inodes():
     # A file inode in the second table block claims the first table block,
-    # then lets it go. The block turns from data back into metadata and is
-    # scrubbed whole, which frees the inodes it held: the refresh goes round
-    # again so that the map matches the image.
+    # then lets it go. The block turns from data back into metadata. Its
+    # scrub touches only the inline windows, so the inodes it holds survive
+    # and one refresh leaves the map matching the image.
     system = build_system(total_blocks=BLOCKS, inode_count=2 * INODES)
     dev = system.device
     system.twin.behavior = evil = Hostile()
@@ -258,11 +265,14 @@ def test_refresh_repeats_when_a_scrub_rewrites_inodes():
     for i in range(INODES):
         fd = dev.open("f%d" % i, OpFlag.CREATE)  # the last one is inode 32
     assert dev.fds[fd].inode == INODES
+    root = dev.store.read_block(first)[:INODE_SIZE]
     for poke in ((INODES + 1, MODE_FILE, 0, [first]), (INODES + 1, MODE_FREE, 0, [])):
         evil.poke = poke
         dev.write(fd, b"C" * 4096)
         dev.fsync(fd)
     assert seen[-2:] == [CLASS_DATA, CLASS_METADATA]
+    assert dev.store.read_block(first)[:INODE_SIZE] == root
+    dev.close(dev.open("f3"))
 
 
 def test_rollback_rescrubs_the_bytes_it_restores():
