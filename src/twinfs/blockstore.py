@@ -1,9 +1,11 @@
 """Fixed-geometry block array owned by the device core.
 
-Backing is an in-memory sparse map; unwritten blocks read as zeros. The
-optional image file is the raw little-endian concatenation of blocks with no
-header. Checkpoints capture pre-images eagerly so speculative execution of
-unvalidated operations can be rolled back exactly.
+Backing is an in-memory sparse map holding only non-zero blocks; every other
+block reads as zeros. The optional image file is the raw little-endian
+concatenation of blocks with no header. Checkpoints capture pre-images eagerly
+so speculative execution of unvalidated operations can be rolled back exactly.
+The store also tracks which blocks changed since their last save, so a durable
+copy can be kept up to date from deltas.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ class BlockStore:
 
     Single-writer: all mutation happens on the verification/execution
     sequence. Geometry never changes after construction.
+
+    A new store has every block unsaved: `take_unsaved` first hands over the
+    whole store, and after that only the blocks written or rolled back since.
     """
 
     def __init__(self, total_blocks: int, blocks: dict[int, bytes] | None = None):
@@ -61,7 +66,11 @@ class BlockStore:
                 self._check(bid)
                 if len(data) != BLOCK_SIZE:
                     raise ValueError("block %d is not %d bytes" % (bid, BLOCK_SIZE))
-                self._blocks[bid] = bytes(data)
+                if data != ZERO_BLOCK:
+                    self._blocks[bid] = bytes(data)
+        # Ids changed since the last take_unsaved; None while every block is
+        # unsaved, so a store nothing is saved from records nothing.
+        self._unsaved: set[int] | None = None
 
     def _check(self, block_id: int) -> None:
         if not 0 <= block_id < self.total_blocks:
@@ -77,7 +86,12 @@ class BlockStore:
         self._check(block_id)
         if len(data) != BLOCK_SIZE:
             raise ValueError("block write must be exactly %d bytes" % BLOCK_SIZE)
-        self._blocks[block_id] = bytes(data)
+        if data == ZERO_BLOCK:
+            self._blocks.pop(block_id, None)
+        else:
+            self._blocks[block_id] = bytes(data)
+        if self._unsaved is not None:
+            self._unsaved.add(block_id)
 
     def checkpoint(self, ids) -> Checkpoint:
         for bid in ids:
@@ -92,6 +106,8 @@ class BlockStore:
                 self._blocks.pop(bid, None)
             else:
                 self._blocks[bid] = data
+        if self._unsaved is not None:
+            self._unsaved.update(cp.saved)
         cp.consumed = True
 
     def discard(self, cp: Checkpoint) -> None:
@@ -107,6 +123,18 @@ class BlockStore:
 
     def snapshot(self) -> dict[int, bytes]:
         return dict(self._blocks)
+
+    def take_unsaved(self) -> dict[int, bytes]:
+        """The blocks changed since the last call, in id order, and mark them
+        saved. A block back at zeros is handed over as ZERO_BLOCK, so the
+        result applied to the last saved copy gives `snapshot()`."""
+        ids = range(self.total_blocks) if self._unsaved is None else sorted(self._unsaved)
+        self._unsaved = set()
+        return {bid: self._blocks.get(bid, ZERO_BLOCK) for bid in ids}
+
+    def mark_saved(self) -> None:
+        """Treat the current contents as saved (a store loaded from its sink)."""
+        self._unsaved = set()
 
     def save(self, path: str) -> None:
         tmp = path + ".tmp"

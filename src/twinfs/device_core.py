@@ -16,7 +16,9 @@ import hmac
 import hashlib
 import json
 import os
+import struct
 import uuid
+import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
@@ -269,19 +271,26 @@ class DeviceConfig:
 
 
 class MemoryDurability:
-    """Durable-state sink kept in process memory (crash exploration)."""
+    """Durable-state sink kept in process memory (crash exploration).
+
+    Each saved delta is merged into one map of the non-zero blocks.
+    """
 
     def __init__(self):
-        self.store_snapshot: dict[int, bytes] | None = None
-        self.total_blocks = 0
+        self.blocks: dict[int, bytes] | None = None
         self.meta: dict | None = None
 
     def save_store(self, snapshot, total_blocks: int) -> None:
-        self.store_snapshot = snapshot
-        self.total_blocks = total_blocks
+        if self.blocks is None:
+            self.blocks = {}
+        for bid, data in snapshot.items():
+            if data == ZERO_BLOCK:
+                self.blocks.pop(bid, None)
+            else:
+                self.blocks[bid] = data
 
     def load_store(self):
-        return self.store_snapshot
+        return None if self.blocks is None else dict(self.blocks)
 
     def save_meta(self, meta: dict) -> None:
         self.meta = json.loads(json.dumps(meta))
@@ -290,24 +299,75 @@ class MemoryDurability:
         return self.meta
 
 
+_LOG_RECORD = struct.Struct("<II")  # body length, CRC-32 of the body
+_LOG_BLOCK_ID = struct.Struct("<I")
+_LOG_ENTRY = _LOG_BLOCK_ID.size + BLOCK_SIZE
+
+
 class FileDurability:
-    """Durable-state sink backed by a state directory."""
+    """Durable-state sink backed by a state directory.
+
+    `store.img` is a base image and `store.log` holds one record per store
+    save since the base was written (format in PROTOCOL.md, "Device durable
+    state"). Loading replays the base and the whole records, and truncates
+    the log at the first torn or corrupt record, so a save is all or nothing.
+    Once the log outgrows the base image, the base is rewritten and the log
+    emptied. The first save of a sink that was not loaded replaces what the
+    directory held.
+    """
 
     def __init__(self, state_dir: str):
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
-
-    def _store_path(self) -> str:
-        return os.path.join(self.state_dir, "store.img")
+        self._img = os.path.join(state_dir, "store.img")
+        self._log = os.path.join(state_dir, "store.log")
+        # Length of store.log; None until loaded or saved, so that the first
+        # save replaces what the directory held.
+        self._log_bytes: int | None = None
 
     def save_store(self, snapshot, total_blocks: int) -> None:
-        BlockStore(total_blocks, snapshot).save(self._store_path())
+        if self._log_bytes is None:
+            # The log goes first: a crash before the base is replaced leaves
+            # the old base, a whole image, not the old log over a new base.
+            self._empty_log()
+            self._write_base(total_blocks, snapshot)
+            return
+        if not snapshot:
+            return
+        body = b"".join(_LOG_BLOCK_ID.pack(bid) + data for bid, data in snapshot.items())
+        with open(self._log, "ab") as f:
+            f.write(_LOG_RECORD.pack(len(body), zlib.crc32(body)) + body)
+        self._log_bytes += _LOG_RECORD.size + len(body)
+        if self._log_bytes > total_blocks * BLOCK_SIZE:
+            # The base takes in the whole log before the log is emptied; the
+            # log replayed over a base that already holds it changes nothing.
+            self._write_base(total_blocks, self.load_store())
+            self._empty_log()
+
+    def _write_base(self, total_blocks: int, blocks) -> None:
+        BlockStore(total_blocks, blocks).save(self._img)
+
+    def _empty_log(self) -> None:
+        open(self._log, "wb").close()
+        self._log_bytes = 0
 
     def load_store(self):
-        path = self._store_path()
-        if not os.path.exists(path):
+        if not os.path.exists(self._img):
             return None
-        return BlockStore.load(path).snapshot()
+        store = BlockStore.load(self._img)
+        good = 0
+        if os.path.exists(self._log):
+            with open(self._log, "r+b") as f:
+                while True:
+                    entries = _read_log_record(f, store.total_blocks)
+                    if entries is None:
+                        break
+                    for bid, data in entries:
+                        store.write_block(bid, data)
+                    good = f.tell()
+                f.truncate(good)
+        self._log_bytes = good
+        return store.snapshot()
 
     def save_meta(self, meta: dict) -> None:
         tmp = os.path.join(self.state_dir, "meta.json.tmp")
@@ -321,6 +381,26 @@ class FileDurability:
             return None
         with open(path) as f:
             return json.load(f)
+
+
+def _read_log_record(f, total_blocks: int):
+    """The (block id, bytes) entries of the next whole, intact record, or None."""
+    head = f.read(_LOG_RECORD.size)
+    if len(head) < _LOG_RECORD.size:
+        return None
+    length, crc = _LOG_RECORD.unpack(head)
+    if length % _LOG_ENTRY:
+        return None
+    body = f.read(length)
+    if len(body) < length or zlib.crc32(body) != crc:
+        return None
+    entries = [
+        (_LOG_BLOCK_ID.unpack_from(body, at)[0], body[at + _LOG_BLOCK_ID.size : at + _LOG_ENTRY])
+        for at in range(0, length, _LOG_ENTRY)
+    ]
+    if any(bid >= total_blocks for bid, _ in entries):
+        return None
+    return entries
 
 
 class MetadataGate:
@@ -449,6 +529,7 @@ class DeviceCore:
         if meta is None or snapshot is None:
             raise DeviceError("no durable device state to load")
         store = BlockStore(meta["total_blocks"], snapshot)
+        store.mark_saved()
         return cls(store, transport, twin, config, durability, meta)
 
     @property
@@ -491,7 +572,7 @@ class DeviceCore:
 
     def _persist_store(self) -> None:
         if self.durability is not None:
-            self.durability.save_store(self.store.snapshot(), self.store.total_blocks)
+            self.durability.save_store(self.store.take_unsaved(), self.store.total_blocks)
 
     def persist(self) -> None:
         self._persist_store()
@@ -650,6 +731,12 @@ class DeviceCore:
             targets.append(local.promote.dst_block)
         if not all(self._may_hold_payload(bid) for bid in targets):
             pending.local_violation = "payload advised into a block outside the data region"
+            return
+        inodes = [seg.target for seg in local.segments if seg.kind == SegKind.INLINE]
+        if local.promote is not None:
+            inodes.append(local.promote.inode)
+        if any(i != pending.file_inode for i in inodes):
+            pending.local_violation = "inline payload advised into another inode"
             return
         inode = pending.file_inode
         cp = pending.checkpoint

@@ -66,13 +66,25 @@ class SyncChannel:
 
 
 class ChannelAccessor(MetadataAccessor):
-    """Metadata reads/writes expressed as channel frames through the gate."""
+    """Metadata reads/writes expressed as channel frames through the gate.
+
+    One accessor serves one FileOp. It keeps each block it read, because the
+    gate serves a block the same way for the whole op, and drops a block when
+    it writes it: the gate merges the write, so only the gate knows the result.
+    """
 
     def __init__(self, channel: SyncChannel, seq: int):
         self.channel = channel
         self.seq = seq
+        self._read: dict[int, bytes] = {}
 
     def read_meta(self, block_id: int) -> bytes:
+        data = self._read.get(block_id)
+        if data is None:
+            data = self._read[block_id] = self._gate_read(block_id)
+        return data
+
+    def _gate_read(self, block_id: int) -> bytes:
         req = wire.Frame(
             wire.FrameKind.META_READ_REQ,
             self.seq,
@@ -87,6 +99,7 @@ class ChannelAccessor(MetadataAccessor):
         return data
 
     def write_meta(self, block_id: int, data: bytes) -> None:
+        self._read.pop(block_id, None)
         blob = block_id.to_bytes(4, "little") + bytes(data)
         frames = wire.fragment_message(wire.FrameKind.META_WRITE_REQ, self.seq, blob)
         for resp in self.channel.meta_call(frames):

@@ -209,6 +209,63 @@ class TestCacheAndMemo:
         assert len(dev.memo.entries) >= 6
 
 
+class TestTwinReadCache:
+    """The local twin reads each metadata block once per op through the gate."""
+
+    @staticmethod
+    def _count_meta_reads(dev):
+        from twinfs import wire
+
+        kinds = []
+        dev.channel.taps.append(lambda raw: kinds.append(wire.decode_frame(raw).kind))
+        return lambda: kinds.count(wire.FrameKind.META_READ_REQ)
+
+    def test_allocating_write_reads_each_block_once(self, system):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        reads = self._count_meta_reads(dev)
+        dev.write(fd, b"x" * 4096)  # superblock, inode table, bitmap
+        assert reads() == 2
+        dev.fsync(fd)
+
+    def test_read_after_own_write_goes_back_to_the_gate(self):
+        # The twin overwrites another file's inline window in the table block.
+        # The gate keeps those data bytes, so a re-read must come from the gate
+        # (the window redacted), not from the bytes the twin wrote.
+        from twinfs import stencil
+        from twinfs.local_twin import EvilBehavior
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        victim = dev.open("victim", OpFlag.CREATE)
+        dev.write(victim, b"V" * 30)
+        dev.fsync(victim)
+        tbid, start, end = dev.sb.inline_window(dev.fds[victim].inode)
+        reads = self._count_meta_reads(dev)
+        seen = {}
+
+        class Overwrite(EvilBehavior):
+            def after_engine(self, op, accessor, twin):
+                first = accessor.read_meta(tbid)
+                seen["cached"] = reads()
+                seen["again"] = accessor.read_meta(tbid) == first and reads() == seen["cached"]
+                junk = bytearray(first)
+                junk[start:end] = b"J" * (end - start)
+                accessor.write_meta(tbid, bytes(junk))
+                seen["after"] = accessor.read_meta(tbid)
+                seen["reread"] = reads()
+                seen["served"] = stencil.serve_block_read(dev.smap, tbid, dev.store.read_block(tbid))
+
+        system.twin.behavior = Overwrite()
+        fd = dev.open("f", OpFlag.CREATE)
+        system.twin.behavior = EvilBehavior()
+        assert seen["again"]
+        assert seen["reread"] == seen["cached"] + 1
+        assert seen["after"] == seen["served"]
+        assert b"J" not in seen["after"][start:end]
+        dev.close(fd)
+
+
 class TestAsyncWriteDelayHiding:
     def test_write_fast_fstat_slow_under_delay(self):
         system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
@@ -457,6 +514,66 @@ class TestAttacks:
         with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
             dev.read(fd, 4096)
         assert dev.store.digest() == pre
+
+    @pytest.mark.parametrize("target", ["past-the-disk", "data-region", "promote-victim"])
+    def test_inline_payload_into_another_inode_is_local_reject(self, target):
+        # The twin names another inode for the write's inline window, or for
+        # the inline bytes a promote copies into the file's first block. The
+        # device must refuse before it writes a byte: no exception out of
+        # write(), no payload outside the file's own window, and no other
+        # file's inline bytes copied into this one.
+        from dataclasses import replace
+
+        from twinfs.local_twin import EvilBehavior
+        from twinfs.minifs import INODE_SIZE, OpCode, SegKind
+
+        class Retarget(EvilBehavior):
+            inode = None
+
+            def on_outcome(self, op, outcome):
+                if op.op != OpCode.WRITE or self.inode is None:
+                    return outcome
+                if outcome.promote is not None:
+                    outcome.promote = replace(outcome.promote, inode=self.inode)
+                outcome.segments = tuple(
+                    replace(seg, target=self.inode) if seg.kind == SegKind.INLINE else seg
+                    for seg in outcome.segments
+                )
+                return outcome
+
+        system = build_system(total_blocks=128, inode_count=32)
+        dev = system.device
+        sb = dev.sb
+        per_block = BLOCK_SIZE // INODE_SIZE
+        victim = dev.open("victim", OpFlag.CREATE)
+        dev.write(victim, b"V" * 30)
+        dev.fsync(victim)
+        fd = dev.open("f", OpFlag.CREATE)
+        evil = system.twin.behavior = Retarget()
+        if target == "promote-victim":
+            dev.write(fd, b"P" * 30)
+            dev.fsync(fd)
+            evil.inode = dev.fds[victim].inode
+            dev.write(fd, b"Q" * 4096)  # promotes the 30 inline bytes first
+            marker = b"V" * 30
+        else:
+            blocks_away = 500 if target == "past-the-disk" else sb.data_start + 5 - sb.inode_table_start
+            evil.inode = blocks_away * per_block
+            dev.write(fd, b"P" * 30)
+            marker = b"P" * 30
+        windows = [sb.inline_window(dev.fds[f].inode) for f in (victim, fd)]
+        for bid in range(dev.store.total_blocks):
+            raw = bytearray(dev.store.read_block(bid))
+            for wbid, start, end in windows:
+                if wbid == bid:
+                    raw[start:end] = bytes(end - start)
+            assert marker not in raw, "payload written into block %d" % bid
+        verdicts = []
+        fail = dev._fail_pending
+        dev._fail_pending = lambda p, verdict, cloud: (verdicts.append(verdict.kind), fail(p, verdict, cloud))
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert verdicts == [LOCAL_REJECT]
 
 
 class TestHostileReplicaResponses:

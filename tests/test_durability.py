@@ -1,0 +1,296 @@
+"""The device's durable-state sinks: delta saves, the store log, reloads."""
+
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import twinfs
+from twinfs.blockstore import BLOCK_SIZE, BlockStore, ZERO_BLOCK
+from twinfs.device_core import DeviceConfig, DeviceCore, FileDurability, MemoryDurability
+from twinfs.harness import build_system
+from twinfs.local_twin import LocalTwin
+from twinfs.minifs import OpFlag
+
+BLOCKS = 32  # mkfs puts the data region at block 4
+INODES = 32
+
+
+def filled(byte):
+    return bytes([byte]) * BLOCK_SIZE
+
+
+class _Sinks:
+    """A fresh sink of one kind per test example, and a way to reopen it
+    (a memory sink reopens as itself)."""
+
+    def __init__(self, kind):
+        self._dir = tempfile.TemporaryDirectory() if kind == "file" else None
+        self.sink = MemoryDurability() if self._dir is None else self.reopen()
+
+    def reopen(self):
+        return self.sink if self._dir is None else FileDurability(self._dir.name)
+
+    def close(self):
+        if self._dir is not None:
+            self._dir.cleanup()
+
+
+_action = st.one_of(
+    st.tuples(st.just("write"), st.integers(4, BLOCKS - 1), st.integers(0, 3)),
+    st.tuples(st.just("speculate"), st.integers(4, BLOCKS - 1), st.integers(1, 3), st.booleans()),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("reload"), st.booleans()),
+)
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(_action, max_size=30))
+def test_load_equals_snapshot_after_every_save(kind, actions):
+    sinks = _Sinks(kind)
+    system = build_system(total_blocks=BLOCKS, inode_count=INODES, durability=sinks.sink)
+    try:
+        dev = system.device
+        dev.persist()
+        saved = dev.store.snapshot()
+        assert sinks.sink.load_store() == saved
+        for action in actions:
+            if action[0] == "write":
+                _, bid, byte = action
+                dev.store.write_block(bid, filled(byte))  # byte 0 writes zeros
+            elif action[0] == "speculate":
+                # A checkpointed write rolled back, often to a zero block, with
+                # a save in between when the flag is set.
+                _, bid, byte, save_between = action
+                cp = dev.store.checkpoint([bid])
+                dev.store.write_block(bid, filled(byte))
+                if save_between:
+                    dev._persist_store()
+                    saved = dev.store.snapshot()
+                    assert sinks.sink.load_store() == saved
+                dev.store.rollback(cp)
+            elif action[0] == "save":
+                dev._persist_store()
+                saved = dev.store.snapshot()
+                assert sinks.sink.load_store() == saved
+            else:
+                # Restart from durable state; unsaved changes are lost.
+                if action[1]:
+                    sinks.sink = sinks.reopen()
+                dev = DeviceCore.load(sinks.sink, dev.transport, LocalTwin(), DeviceConfig(emergency_bytes=0))
+                assert dev.store.snapshot() == saved
+        dev._persist_store()
+        assert sinks.sink.load_store() == dev.store.snapshot()
+    finally:
+        system.session.close()
+        sinks.close()
+
+
+def test_save_hands_over_only_the_changed_blocks():
+    class Counted(MemoryDurability):
+        """Counts bytes the way the benchmark's sink does, and keeps the ids
+        of each save."""
+
+        def __init__(self):
+            super().__init__()
+            self.bytes = 0
+            self.saves = []
+
+        def save_store(self, snapshot, total_blocks):
+            super().save_store(snapshot, total_blocks)
+            self.bytes += sum(map(len, snapshot.values()))
+            self.saves.append(set(snapshot))
+
+    sink = Counted()
+    system = build_system(total_blocks=256, inode_count=32, durability=sink)
+    dev = system.device
+    dev.persist()
+    assert sink.bytes == 256 * BLOCK_SIZE  # a new store saves every block once
+
+    sink.bytes = 0
+    dev.store.write_block(200, filled(7))
+    dev.store.write_block(201, filled(1))
+    dev._persist_store()
+    assert sink.bytes == 2 * BLOCK_SIZE
+    dev.store.write_block(200, filled(8))
+    dev.store.write_block(200, filled(9))
+    dev.store.write_block(201, ZERO_BLOCK)
+    dev._persist_store()
+    assert sink.bytes == 4 * BLOCK_SIZE
+    assert sink.load_store().get(201) is None
+    dev._persist_store()
+    assert sink.bytes == 4 * BLOCK_SIZE
+
+    # Client ops: each save hands over exactly the blocks the store was
+    # written since the save before.
+    touched = set()
+    write_block = dev.store.write_block
+    dev.store.write_block = lambda bid, data: (touched.add(bid), write_block(bid, data))
+    sink.saves.clear()
+    expected = []
+
+    def note_save(save=dev._persist_store):
+        expected.append(set(touched))
+        touched.clear()
+        save()
+
+    dev._persist_store = note_save
+    before = dev.store.snapshot()
+    sink.bytes = 0
+    fd = dev.open("f", OpFlag.CREATE)
+    dev.write(fd, b"x" * 5000)
+    dev.fsync(fd)
+    after = dev.store.snapshot()
+    assert sink.saves == expected and any(expected)
+    assert sink.bytes == sum(map(len, expected)) * BLOCK_SIZE
+    changed = {b for b in set(before) | set(after) if before.get(b) != after.get(b)}
+    assert changed and changed <= set().union(*expected)
+    assert sink.load_store() == after
+
+    # A device loaded from the sink has nothing to save yet.
+    dev = DeviceCore.load(sink, dev.transport, LocalTwin(), DeviceConfig(emergency_bytes=0))
+    dev._persist_store()
+    assert sink.saves[-1] == set()
+    system.session.close()
+
+
+def _log_of_three_saves(tmp_path):
+    """A file sink with a base image and three logged saves, the last one
+    overwriting block 2 and zeroing block 5; returns it, the state before
+    the last save, and the last record's offset in store.log."""
+    sink = FileDurability(str(tmp_path))
+    sink.save_store({2: filled(1), 5: filled(2)}, 16)  # the base image
+    sink.save_store({3: filled(3)}, 16)
+    sink.save_store({2: filled(4), 9: filled(5)}, 16)
+    before = sink.load_store()
+    start = os.path.getsize(tmp_path / "store.log")
+    sink.save_store({2: filled(6), 5: ZERO_BLOCK}, 16)
+    assert sink.load_store() == {2: filled(6), 3: filled(3), 9: filled(5)}
+    return sink, before, start
+
+
+def test_torn_last_record_loads_the_save_before(tmp_path):
+    _, before, start = _log_of_three_saves(tmp_path)
+    log = tmp_path / "store.log"
+    whole = log.read_bytes()
+    assert len(whole) == start + 8 + 2 * (4 + BLOCK_SIZE)
+    for cut in range(start, len(whole)):
+        log.write_bytes(whole[:cut])
+        assert FileDurability(str(tmp_path)).load_store() == before, cut
+        assert log.stat().st_size == start  # the torn tail is gone
+
+
+@pytest.mark.parametrize("byte", range(4))
+def test_corrupt_crc_drops_the_record(tmp_path, byte):
+    sink, before, start = _log_of_three_saves(tmp_path)
+    log = tmp_path / "store.log"
+    raw = bytearray(log.read_bytes())
+    raw[start + 4 + byte] ^= 0xFF
+    log.write_bytes(bytes(raw))
+    sink = FileDurability(str(tmp_path))
+    assert sink.load_store() == before
+    assert log.stat().st_size == start
+    # Saving goes on from the state it loaded.
+    sink.save_store({7: filled(9)}, 16)
+    assert FileDurability(str(tmp_path)).load_store() == {**before, 7: filled(9)}
+
+
+@pytest.mark.parametrize("body", [
+    (16).to_bytes(4, "little") + filled(7),  # a block past the geometry
+    (3).to_bytes(4, "little") + filled(7)[:100],  # a partial entry
+], ids=["past-the-geometry", "partial-entry"])
+def test_record_with_a_valid_crc_and_a_bad_body_is_dropped(tmp_path, body):
+    sink, before, start = _log_of_three_saves(tmp_path)
+    log = tmp_path / "store.log"
+    raw = log.read_bytes()[:start]
+    log.write_bytes(raw + len(body).to_bytes(4, "little") + zlib.crc32(body).to_bytes(4, "little") + body)
+    assert FileDurability(str(tmp_path)).load_store() == before
+    assert log.stat().st_size == start
+
+
+def test_log_is_folded_into_the_base_once_it_outgrows_it(tmp_path):
+    sink = FileDurability(str(tmp_path))
+    sink.save_store({}, 4)  # a 16 KiB base
+    expected = {}
+    for i in range(1, 5):
+        sink.save_store({i % 4: filled(i)}, 4)
+        expected[i % 4] = filled(i)
+    # Four one-block records (4 x 4108 bytes) outgrow the base: it was
+    # rewritten and the log emptied.
+    assert os.path.getsize(tmp_path / "store.log") == 0
+    assert BlockStore.load(str(tmp_path / "store.img")).snapshot() == expected
+    assert FileDurability(str(tmp_path)).load_store() == expected
+
+
+def test_first_save_of_a_sink_not_loaded_replaces_the_directory(tmp_path):
+    old = FileDurability(str(tmp_path))
+    old.save_store({1: filled(1)}, 8)
+    old.save_store({2: filled(2)}, 8)
+    new = FileDurability(str(tmp_path))
+    new.save_store({3: filled(3)}, 8)
+    assert FileDurability(str(tmp_path)).load_store() == {3: filled(3)}
+
+
+_CHILD = r"""
+import sys
+from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
+from twinfs.device_core import FileDurability
+
+sink = FileDurability(sys.argv[1])
+i = 0
+while True:
+    sink.save_store(delta(i), 64)
+    print(i, flush=True)
+    i += 1
+"""
+
+_DELTA = r"""
+def delta(i):
+    # Save i rewrites 16 blocks, zeroes one, and leaves the rest.
+    out = {(i * 16 + k) % 64: bytes([i % 250 + 1, k]) * (BLOCK_SIZE // 2) for k in range(16)}
+    out[(i * 16 + 40) % 64] = ZERO_BLOCK
+    return out
+"""
+
+
+def _state_after(save):
+    namespace = {"BLOCK_SIZE": BLOCK_SIZE, "ZERO_BLOCK": ZERO_BLOCK}
+    exec(_DELTA, namespace)
+    blocks = {}
+    for i in range(save + 1):
+        for bid, data in namespace["delta"](i).items():
+            if data == ZERO_BLOCK:
+                blocks.pop(bid, None)
+            else:
+                blocks[bid] = data
+    return blocks
+
+
+@pytest.mark.parametrize("saves", [3, 11, 26])
+def test_killed_mid_save_reloads_a_whole_save(tmp_path, saves):
+    # A process saving in a loop is killed; the state it leaves loads as the
+    # last save it finished or the one it was making, never a mix.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(twinfs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _DELTA + _CHILD, str(tmp_path)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        for _ in range(saves):
+            assert child.stdout.readline()
+    finally:
+        child.send_signal(signal.SIGKILL)
+        rest = child.stdout.read().split()
+        child.wait()
+    last = saves - 1 + len(rest)
+    loaded = FileDurability(str(tmp_path)).load_store()
+    assert loaded in (_state_after(last), _state_after(last + 1))
