@@ -16,13 +16,11 @@ import hmac
 import hashlib
 import json
 import os
-import struct
 import uuid
-import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
-from twinfs import stencil, wire
+from twinfs import journal, stencil, wire
 from twinfs.blockstore import BLOCK_SIZE, BlockStore, Checkpoint, OutOfRangeError, ZERO_BLOCK
 from twinfs.local_twin import LocalTwin, SyncChannel
 from twinfs.minifs import (
@@ -271,7 +269,7 @@ class DeviceConfig:
 
 
 class MemoryDurability:
-    """Durable-state sink kept in process memory (crash exploration).
+    """Durable-state sink kept in process memory (benchmarks and unit tests).
 
     Each saved delta is merged into one map of the non-zero blocks.
     """
@@ -299,17 +297,12 @@ class MemoryDurability:
         return self.meta
 
 
-_LOG_RECORD = struct.Struct("<II")  # body length, CRC-32 of the body
-_LOG_BLOCK_ID = struct.Struct("<I")
-_LOG_ENTRY = _LOG_BLOCK_ID.size + BLOCK_SIZE
-
-
 class FileDurability:
     """Durable-state sink backed by a state directory.
 
-    `store.img` is a base image and `store.log` holds one record per store
-    save since the base was written (format in PROTOCOL.md, "Device durable
-    state"). Loading replays the base and the whole records, and truncates
+    `store.img` is a base image and `store.log` holds one `journal` record
+    per store save since the base was written (PROTOCOL.md, "Durable
+    logs"). Loading replays the base and the whole records, and truncates
     the log at the first torn or corrupt record, so a save is all or nothing.
     Once the log outgrows the base image, the base is rewritten and the log
     emptied. The first save of a sink that was not loaded replaces what the
@@ -329,44 +322,32 @@ class FileDurability:
         if self._log_bytes is None:
             # The log goes first: a crash before the base is replaced leaves
             # the old base, a whole image, not the old log over a new base.
-            self._empty_log()
-            self._write_base(total_blocks, snapshot)
+            self._log_bytes = journal.rewrite(self._log, [])
+            BlockStore(total_blocks, snapshot).save(self._img)
             return
         if not snapshot:
             return
-        body = b"".join(_LOG_BLOCK_ID.pack(bid) + data for bid, data in snapshot.items())
-        with open(self._log, "ab") as f:
-            f.write(_LOG_RECORD.pack(len(body), zlib.crc32(body)) + body)
-        self._log_bytes += _LOG_RECORD.size + len(body)
+        self._log_bytes += journal.append(self._log, journal.pack_blocks(snapshot.items()))
         if self._log_bytes > total_blocks * BLOCK_SIZE:
             # The base takes in the whole log before the log is emptied; the
             # log replayed over a base that already holds it changes nothing.
-            self._write_base(total_blocks, self.load_store())
-            self._empty_log()
-
-    def _write_base(self, total_blocks: int, blocks) -> None:
-        BlockStore(total_blocks, blocks).save(self._img)
-
-    def _empty_log(self) -> None:
-        open(self._log, "wb").close()
-        self._log_bytes = 0
+            BlockStore(total_blocks, self.load_store()).save(self._img)
+            self._log_bytes = journal.rewrite(self._log, [])
 
     def load_store(self):
         if not os.path.exists(self._img):
             return None
         store = BlockStore.load(self._img)
-        good = 0
-        if os.path.exists(self._log):
-            with open(self._log, "r+b") as f:
-                while True:
-                    entries = _read_log_record(f, store.total_blocks)
-                    if entries is None:
-                        break
-                    for bid, data in entries:
-                        store.write_block(bid, data)
-                    good = f.tell()
-                f.truncate(good)
-        self._log_bytes = good
+
+        def apply(body: bytes) -> bool:
+            blocks = journal.unpack_blocks(body)
+            if blocks is None or any(bid >= store.total_blocks for bid in blocks):
+                return False
+            for bid, data in blocks.items():
+                store.write_block(bid, data)
+            return True
+
+        self._log_bytes = journal.replay(self._log, apply) if os.path.exists(self._log) else 0
         return store.snapshot()
 
     def save_meta(self, meta: dict) -> None:
@@ -381,26 +362,6 @@ class FileDurability:
             return None
         with open(path) as f:
             return json.load(f)
-
-
-def _read_log_record(f, total_blocks: int):
-    """The (block id, bytes) entries of the next whole, intact record, or None."""
-    head = f.read(_LOG_RECORD.size)
-    if len(head) < _LOG_RECORD.size:
-        return None
-    length, crc = _LOG_RECORD.unpack(head)
-    if length % _LOG_ENTRY:
-        return None
-    body = f.read(length)
-    if len(body) < length or zlib.crc32(body) != crc:
-        return None
-    entries = [
-        (_LOG_BLOCK_ID.unpack_from(body, at)[0], body[at + _LOG_BLOCK_ID.size : at + _LOG_ENTRY])
-        for at in range(0, length, _LOG_ENTRY)
-    ]
-    if any(bid >= total_blocks for bid, _ in entries):
-        return None
-    return entries
 
 
 class MetadataGate:

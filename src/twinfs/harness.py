@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +24,7 @@ from twinfs.device_core import (
     CrashSignal,
     DeviceConfig,
     DeviceCore,
-    MemoryDurability,
+    FileDurability,
     VerificationFailedError,
 )
 from twinfs.local_twin import EvilBehavior, LocalTwin
@@ -697,9 +699,6 @@ def explore_crashes(
     crash fires, restarts both sides from durable state, runs recovery, and
     compares metadata digests.
     """
-    import shutil
-    import tempfile
-
     own_root = state_root is None
     state_root = state_root or tempfile.mkdtemp(prefix="twinfs-crash-")
     scenarios = 0
@@ -736,11 +735,12 @@ def _one_crash_scenario(
     script, op_index: int, point: str, state_root: str, total_blocks: int,
     inode_count: int, seed: int,
 ) -> str | None:
-    import shutil
-
+    # Both sides keep their durable state in real files, and restart from
+    # a fresh sink or session on the same directory.
     replica_dir = os.path.join(state_root, "replica")
-    shutil.rmtree(replica_dir, ignore_errors=True)
-    durability = MemoryDurability()
+    device_dir = os.path.join(state_root, "device")
+    for path in (replica_dir, device_dir):
+        shutil.rmtree(path, ignore_errors=True)
 
     fired = {"armed": False}
 
@@ -752,40 +752,34 @@ def _one_crash_scenario(
     system = build_system(
         total_blocks=total_blocks,
         inode_count=inode_count,
-        durability=durability,
+        durability=FileDurability(device_dir),
         crash_hook=hook,
         replica_state_dir=replica_dir,
     )
     device = system.device
     device.persist()
-    crashed = False
     try:
         for i, op in enumerate(script):
             fired["armed"] = i == op_index
             _apply_script_op(device, op, payload_seed=seed * 1000 + i)
         device.shutdown()
     except CrashSignal:
-        crashed = True
-    if not crashed:
+        pass
+    else:
         # The op log never reached the crash point (vacuously converged).
         dd = device.device_metadata_digest()
-        rd = system.session.durable_digest()
-        system.session.close()
-        return None if dd == rd else "no-crash digest mismatch"
-    system.session.close()
+        return None if dd == system.session.durable_digest() else "no-crash digest mismatch"
 
-    restarted = ReplicaSession.load(os.path.join(state_root, "replica"))
+    restarted = ReplicaSession.load(replica_dir)
     transport = DelayedTransport(LoopbackTransport(restarted.handle_message), 0)
     config = DeviceConfig(emergency_bytes=0)
     try:
-        device2 = DeviceCore.load(durability, transport, LocalTwin(), config)
+        device2 = DeviceCore.load(FileDurability(device_dir), transport, LocalTwin(), config)
         device2.reconnect_recover()
     except Exception as exc:  # recovery must never fail
-        restarted.close()
         return "recovery error: %r" % (exc,)
     dd = device2.device_metadata_digest()
     rd = restarted.durable_digest()
-    restarted.close()
     if dd != rd:
         return "digest divergence device=%s replica=%s" % (dd[:12], rd[:12])
     return None

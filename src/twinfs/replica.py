@@ -11,14 +11,13 @@ later staged transaction.
 
 from __future__ import annotations
 
-import io
 import os
 import socket
 import socketserver
 import struct
 import threading
 
-from twinfs import stencil, wire
+from twinfs import journal, stencil, wire
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
 from twinfs.minifs import (
     Engine,
@@ -38,7 +37,8 @@ ERR_BAD_MESSAGE = 2
 _J_STAGED = 1
 _J_COMMIT = 2
 _J_ABORT = 3
-_J_HEAD = struct.Struct("<BQI")  # kind, seq, delta count
+_J_CHECKPOINT = 4
+_J_HEAD = struct.Struct("<BQ")  # kind, seq; block entries follow
 
 
 class BadImageError(Exception):
@@ -65,12 +65,13 @@ class _StateAccessor(MetadataAccessor):
 
 
 class ReplicaSession:
-    """One device's metadata replica plus its 2PC staging journal."""
+    """One device's metadata replica plus its 2PC staging journal, kept in
+    `journal.bin` under a state directory (PROTOCOL.md, "Durable logs")."""
 
     def __init__(self, state_dir: str | None = None):
-        self.state_dir = state_dir
-        self.base = b""
+        self._path = state_dir and os.path.join(state_dir, "journal.bin")
         self.sb: Superblock | None = None
+        # Committed non-zero blocks; every other block is zeros.
         self.committed: dict[int, bytes] = {}
         self.view: dict[int, bytes] = {}
         self.staged: list[tuple[int, dict[int, tuple[bytes, bytes]]]] = []
@@ -84,7 +85,7 @@ class ReplicaSession:
         self._unsent: set[int] = set()
         self.accessor = _StateAccessor(self)
         self.engine: Engine | None = None
-        self._journal: io.BufferedWriter | None = None
+        self._journal_bytes = self._checkpoint_bytes = 0
 
     # -- bootstrap and durable state -------------------------------------
 
@@ -92,119 +93,82 @@ class ReplicaSession:
     def bootstrap(cls, metadata_image: bytes, state_dir: str | None = None) -> "ReplicaSession":
         session = cls(state_dir)
         session.sb = Superblock.unpack(metadata_image[:BLOCK_SIZE])
-        session.base = bytes(metadata_image)
-        session._assert_zero_data(metadata_image)
+        if len(metadata_image) % BLOCK_SIZE:
+            raise BadImageError("metadata image is not whole blocks")
+        for at in range(0, len(metadata_image), BLOCK_SIZE):
+            block = bytes(metadata_image[at : at + BLOCK_SIZE])
+            if block != ZERO_BLOCK:
+                session.committed[at // BLOCK_SIZE] = block
+        session._assert_zero_data()
         if state_dir:
             os.makedirs(state_dir, exist_ok=True)
-            with open(os.path.join(state_dir, "base.img"), "wb") as f:
-                f.write(metadata_image)
-            session._open_journal()
+            session.compact()
         session.engine = Engine(session.accessor)
         return session
 
     @classmethod
     def load(cls, state_dir: str) -> "ReplicaSession":
-        session = cls(state_dir)
-        with open(os.path.join(state_dir, "base.img"), "rb") as f:
-            session.base = f.read()
-        session.sb = Superblock.unpack(session.base[:BLOCK_SIZE])
+        session = cls()  # no journal yet: replayed commits append nothing
         path = os.path.join(state_dir, "journal.bin")
-        if os.path.exists(path):
-            with open(path, "r+b") as f:
-                f.truncate(session._replay_journal(f.read()))
-        session._open_journal()
+        session._journal_bytes = journal.replay(path, session._replay, required=True)
+        if session._journal_bytes is None:
+            raise BadImageError("journal.bin does not start with an intact checkpoint")
+        session._path = path
         session.engine = Engine(session.accessor)
         return session
 
-    def _assert_zero_data(self, image: bytes) -> None:
+    def _assert_zero_data(self) -> None:
         sb = self.sb
-        data_bytes = image[sb.data_start * BLOCK_SIZE :]
-        if any(data_bytes):
+        if any(bid >= sb.data_start for bid in self.committed):
             raise BadImageError("metadata image carries nonzero data-region bytes")
         # File inodes with inline content must arrive with the window erased;
         # directory inline windows hold entries, which are metadata.
         for index in range(sb.inode_count):
             tbid, off = sb.inode_location(index)
-            raw = image[tbid * BLOCK_SIZE + off : tbid * BLOCK_SIZE + off + INODE_SIZE]
-            if len(raw) < INODE_SIZE:
-                break
-            inode = Inode.unpack(raw)
+            inode = Inode.unpack(self._read_durable(tbid)[off : off + INODE_SIZE])
             if inode.mode == MODE_FILE and any(inode.inline):
                 raise BadImageError("metadata image carries inline file bytes")
 
-    def _open_journal(self) -> None:
-        path = os.path.join(self.state_dir, "journal.bin")
-        self._journal = open(path, "ab")
-
-    def _journal_append(self, record: bytes) -> None:
-        if self._journal is None:
-            return
-        self._journal.write(record)
-        self._journal.flush()
-        os.fsync(self._journal.fileno())
-
-    def _replay_journal(self, raw: bytes) -> int:
-        """Replay every whole record; return the length they take up.
-
-        A record cut short by a crash is dropped with whatever follows it:
-        each record is fsynced before its reply, so it was never answered.
-        """
-        offset = 0
-        while offset + _J_HEAD.size <= len(raw):
-            kind, seq, count = _J_HEAD.unpack_from(raw, offset)
-            body = count * (4 + BLOCK_SIZE) if kind == _J_STAGED else 0
-            if offset + _J_HEAD.size + body > len(raw):
-                break
-            offset += _J_HEAD.size
-            if kind == _J_STAGED:
-                delta: dict[int, tuple[bytes, bytes]] = {}
-                for _ in range(count):
-                    (bid,) = struct.unpack_from("<I", raw, offset)
-                    offset += 4
-                    new = bytes(raw[offset : offset + BLOCK_SIZE])
-                    offset += BLOCK_SIZE
-                    delta[bid] = (self._read_view(bid), new)
-                    self.view[bid] = new
-                self.staged.append((seq, delta))
-                self.expected_seq = seq + 1
-            elif kind == _J_COMMIT:
-                self._apply_commit(seq)
-            elif kind == _J_ABORT:
-                self._apply_abort(seq)
-            else:
-                raise BadImageError("corrupt journal record kind %d" % kind)
-        return offset
+    def _replay(self, body: bytes) -> bool:
+        """Apply one journal record at load; False for one that does not parse."""
+        if len(body) < _J_HEAD.size:
+            return False
+        kind, seq = _J_HEAD.unpack_from(body)
+        blocks = journal.unpack_blocks(body[_J_HEAD.size :])
+        if blocks is None or (kind == _J_CHECKPOINT) != (self.sb is None):
+            return False
+        if kind == _J_CHECKPOINT:
+            self.sb = Superblock.unpack(blocks.get(0, ZERO_BLOCK))
+            self.committed = blocks
+            self.last_committed, self.expected_seq = seq, seq + 1
+            self._checkpoint_bytes = journal.HEAD.size + len(body)
+            return True
+        if kind == _J_STAGED:
+            delta = {bid: (self._read_view(bid), new) for bid, new in blocks.items()}
+            self.view.update(blocks)
+            self._stage(seq, delta)
+            return True
+        if kind == _J_COMMIT:
+            return self.commit(seq)
+        return kind == _J_ABORT and self.abort(seq)
 
     def compact(self) -> None:
-        """Fold committed deltas into the base image; keep staged records."""
-        if not self.state_dir:
+        """Rewrite the journal as a checkpoint plus the staged records."""
+        if not self._path:
             return
-        total = len(self.base) // BLOCK_SIZE
-        image = bytearray(self.base)
-        extra = {bid: data for bid, data in self.committed.items() if bid >= total}
-        for bid, data in self.committed.items():
-            if bid < total:
-                image[bid * BLOCK_SIZE : (bid + 1) * BLOCK_SIZE] = data
-        if extra:
-            top = max(extra) + 1
-            image.extend(bytes((top - total) * BLOCK_SIZE))
-            for bid, data in extra.items():
-                image[bid * BLOCK_SIZE : (bid + 1) * BLOCK_SIZE] = data
-        self.base = bytes(image)
-        self.committed = {}
-        with open(os.path.join(self.state_dir, "base.img"), "wb") as f:
-            f.write(self.base)
-        if self._journal:
-            self._journal.close()
-        with open(os.path.join(self.state_dir, "journal.bin"), "wb") as f:
-            for seq, delta in self.staged:
-                f.write(self._staged_record(seq, delta))
-        self._open_journal()
+        checkpoint = _J_HEAD.pack(_J_CHECKPOINT, self.last_committed) + journal.pack_blocks(
+            sorted(self.committed.items())
+        )
+        staged = [self._staged_record(seq, delta) for seq, delta in self.staged]
+        self._journal_bytes = journal.rewrite(self._path, [checkpoint] + staged, sync=True)
+        self._checkpoint_bytes = journal.HEAD.size + len(checkpoint)
+
+    def _journal_append(self, body: bytes) -> None:
+        if self._path:
+            self._journal_bytes += journal.append(self._path, body, sync=True)
 
     def close(self) -> None:
-        if self._journal:
-            self._journal.close()
-            self._journal = None
+        """Nothing to release: each journal write opens and closes the file."""
 
     # -- metadata views ----------------------------------------------------
 
@@ -214,27 +178,19 @@ class ReplicaSession:
         return self._read_durable(block_id)
 
     def _read_durable(self, block_id: int) -> bytes:
-        if block_id in self.committed:
-            return self.committed[block_id]
-        start = block_id * BLOCK_SIZE
-        if start < len(self.base):
-            return bytes(self.base[start : start + BLOCK_SIZE])
-        return ZERO_BLOCK
+        return self.committed.get(block_id, ZERO_BLOCK)
 
     def durable_digest(self) -> str:
         return stencil.metadata_digest(self._read_durable, self.sb.total_blocks)
 
     def state_bytes(self):
         """Every durable and staged byte held by the replica (taint scans)."""
-        yield self.base
-        for data in self.committed.values():
-            yield data
+        yield from self.committed.values()
         for _, delta in self.staged:
             for old, new in delta.values():
                 yield old
                 yield new
-        for data in self.view.values():
-            yield data
+        yield from self.view.values()
 
     # -- 2PC operations ------------------------------------------------------
 
@@ -249,18 +205,19 @@ class ReplicaSession:
         outcome = self.engine.exec_fileop(op)
         delta = self.accessor.recording
         self.accessor.recording = None
-        self.staged.append((op.seq, delta))
-        self._journal_append(self._staged_record(op.seq, delta))
-        self.expected_seq = op.seq + 1
+        self._stage(op.seq, delta)
         return outcome, True
+
+    def _stage(self, seq: int, delta) -> None:
+        self.staged.append((seq, delta))
+        self._journal_append(self._staged_record(seq, delta))
+        self.expected_seq = seq + 1
 
     @staticmethod
     def _staged_record(seq: int, delta) -> bytes:
-        parts = [_J_HEAD.pack(_J_STAGED, seq, len(delta))]
-        for bid in sorted(delta):
-            parts.append(struct.pack("<I", bid))
-            parts.append(delta[bid][1])
-        return b"".join(parts)
+        return _J_HEAD.pack(_J_STAGED, seq) + journal.pack_blocks(
+            (bid, delta[bid][1]) for bid in sorted(delta)
+        )
 
     def commit(self, seq: int) -> bool:
         """Make a staged delta durable. Idempotent for already-committed seqs."""
@@ -268,18 +225,19 @@ class ReplicaSession:
             return True
         if not self.staged or self.staged[0][0] != seq:
             return False
-        self._journal_append(_J_HEAD.pack(_J_COMMIT, seq, 0))
-        self._apply_commit(seq)
-        return True
-
-    def _apply_commit(self, seq: int) -> None:
-        if seq <= self.last_committed or not self.staged or self.staged[0][0] != seq:
-            return
+        self._journal_append(_J_HEAD.pack(_J_COMMIT, seq))
         _, delta = self.staged.pop(0)
         for bid, (_, new) in delta.items():
-            self.committed[bid] = new
+            if new == ZERO_BLOCK:
+                self.committed.pop(bid, None)
+            else:
+                self.committed[bid] = new
         self.last_committed = seq
         self.fd_snapshots.pop(seq, None)
+        # A fixed rule: compact once the records after the checkpoint outgrow it.
+        if self._journal_bytes > 2 * self._checkpoint_bytes:
+            self.compact()
+        return True
 
     def abort(self, seq: int) -> bool:
         """Drop staged deltas >= seq, rewinding state; cascades forward."""
@@ -288,11 +246,7 @@ class ReplicaSession:
         if not any(s >= seq for s, _ in self.staged):
             # Recovery abort of an op that never arrived: nothing to drop.
             return True
-        self._journal_append(_J_HEAD.pack(_J_ABORT, seq, 0))
-        self._apply_abort(seq)
-        return True
-
-    def _apply_abort(self, seq: int) -> None:
+        self._journal_append(_J_HEAD.pack(_J_ABORT, seq))
         restored_fds: dict[int, FdState] | None = None
         restored: set[int] = set()
         while self.staged and self.staged[-1][0] >= seq:
@@ -308,6 +262,7 @@ class ReplicaSession:
         self.expected_seq = seq
         if self.cloud_stencils:
             self._restencil(restored)
+        return True
 
     def _restencil(self, dirtied) -> None:
         """Refresh the cloud-stencil map from the blocks the view just changed."""
@@ -419,7 +374,7 @@ class ReplicaServer(socketserver.ThreadingTCPServer):
                 state_dir = None
                 if self.state_root:
                     state_dir = os.path.join(self.state_root, device_id.hex())
-                if state_dir and os.path.exists(os.path.join(state_dir, "base.img")):
+                if state_dir and os.path.exists(os.path.join(state_dir, "journal.bin")):
                     session = ReplicaSession.load(state_dir)
                 else:
                     session = ReplicaSession.bootstrap(self._initial_image(), state_dir)

@@ -1,9 +1,10 @@
 import hashlib
 import hmac
+import struct
 
 import pytest
 
-from twinfs import wire
+from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE
 from twinfs.minifs import FileOp, OpCode, OpFlag, Status, mkfs
 from twinfs.replica import ERR_BAD_MESSAGE, BadImageError, ReplicaServer, ReplicaSession, bootstrap
@@ -211,9 +212,10 @@ class TestJournalPersistence:
         assert revived.durable_digest() == digest
         assert [s for s, _ in revived.staged] == [2]
 
-    # The journal ends with STAGED 1, COMMIT 1 and an 8213-byte STAGED 2;
-    # each cut tears one of the last two records.
-    @pytest.mark.parametrize("cut", [1, 3, 100, 4100, 8210, 8218])
+    # The journal ends with a 17-byte COMMIT 1 and an 8217-byte STAGED 2
+    # (an 8-byte frame, a 9-byte head and two block entries); each cut
+    # tears one of the two.
+    @pytest.mark.parametrize("cut", [1, 3, 100, 4100, 8210, 8216, 8218, 8226, 8233])
     def test_torn_tail_is_dropped_and_appends_replay(self, tmp_path, cut):
         state = str(tmp_path / "rep")
         session = fresh_session(state_dir=state)
@@ -232,6 +234,119 @@ class TestJournalPersistence:
         again = ReplicaSession.load(state)
         assert again.expected_seq == 3
         assert [again._read_view(bid) for bid in blocks] == [revived._read_view(bid) for bid in blocks]
+
+    def test_reload_after_compaction_keeps_the_committed_seq(self, tmp_path):
+        state = str(tmp_path / "rep")
+        session = fresh_session(state_dir=state)
+        for op in (op_open(1, 0, "f"), op_write(2, 0, 100)):
+            session.replay_fileop(op)
+            assert session.commit(op.seq)
+        digest = session.durable_digest()
+        session.compact()
+        revived = ReplicaSession.load(state)
+        assert (revived.expected_seq, revived.last_committed) == (3, 2)
+        assert revived.durable_digest() == digest
+        # A COMMIT resent after the restart is still acknowledged.
+        ack = revived.handle_message(wire.encode_net(wire.NetKind.COMMIT, 2))
+        assert wire.decode_net(ack)[0] == wire.NetKind.ACK
+        fileop = wire.encode_fileop(op_open(3, 1, "g"))
+        kind, seq, body = wire.decode_net(
+            revived.handle_message(wire.encode_net(wire.NetKind.FILEOP, 3, fileop))
+        )
+        assert (kind, seq) == (wire.NetKind.TRACE_RESP, 3)
+        outcome, ok = wire.decode_outcome(OpCode.OPEN, body)
+        assert ok and outcome.status == Status.OK
+
+    def test_flipped_byte_in_a_staged_block_drops_it_and_what_follows(self, tmp_path):
+        state, path = staged_commit_staged(tmp_path)
+        raw = bytearray(path.read_bytes())
+        staged_1 = record_offsets(raw)[1]
+        raw[staged_1 + journal.HEAD.size + 9 + 4 + 100] ^= 0x01  # inside its first block
+        path.write_bytes(bytes(raw))
+        revived = ReplicaSession.load(state)
+        assert (revived.expected_seq, revived.last_committed, revived.staged) == (1, 0, [])
+        assert revived.durable_digest() == fresh_session().durable_digest()
+        assert path.stat().st_size == staged_1
+
+    def test_record_of_unknown_kind_ends_the_replay(self, tmp_path):
+        state = str(tmp_path / "rep")
+        session = fresh_session(state_dir=state)
+        session.replay_fileop(op_open(1, 0, "f"))
+        path = tmp_path / "rep" / "journal.bin"
+        end = path.stat().st_size
+        journal.append(str(path), struct.pack("<BQ", 9, 1))
+        journal.append(str(path), struct.pack("<BQ", 2, 1))  # COMMIT 1, after it
+        revived = ReplicaSession.load(state)
+        assert [s for s, _ in revived.staged] == [1]
+        assert (revived.expected_seq, revived.last_committed) == (2, 0)
+        assert path.stat().st_size == end
+
+    def test_journal_compacts_itself(self, tmp_path):
+        state = str(tmp_path / "rep")
+        session = fresh_session(state_dir=state)
+        session.replay_fileop(op_open(1, 0, "f"))
+        session.commit(1)
+        for seq in range(2, 201):
+            session.replay_fileop(op_write(seq, 0, 100))
+            assert session.commit(seq)
+        path = tmp_path / "rep" / "journal.bin"
+        raw = path.read_bytes()
+        checkpoint = record_offsets(raw)[1]
+        assert len(raw) < 3 * checkpoint
+        revived = ReplicaSession.load(state)
+        assert revived.durable_digest() == session.durable_digest()
+        assert (revived.expected_seq, revived.last_committed) == (201, 200)
+
+    def test_last_record_torn_at_every_offset(self, tmp_path):
+        state, path = staged_commit_staged(tmp_path)
+        whole = path.read_bytes()
+        start = record_offsets(whole)[-1]  # STAGED 2
+        committed = ReplicaSession.load(state).committed
+        for cut in range(start, len(whole)):
+            path.write_bytes(whole[:cut])
+            revived = ReplicaSession.load(state)
+            assert (revived.expected_seq, revived.last_committed, revived.staged) == (2, 1, []), cut
+            assert revived.committed == committed
+            assert path.stat().st_size == start  # the torn tail is gone
+
+    @pytest.mark.parametrize("damage", ["parent-format", "empty", "corrupt-checkpoint", "staged-first"])
+    def test_journal_without_a_leading_checkpoint_is_refused(self, tmp_path, damage):
+        state, path = staged_commit_staged(tmp_path)
+        raw = path.read_bytes()
+        if damage == "parent-format":
+            # The old layout: a raw base image beside unframed records.
+            (tmp_path / "rep" / "base.img").write_bytes(mkfs(256, 32).metadata_image)
+            raw = struct.pack("<BQI", 1, 1, 1) + struct.pack("<I", 2) + bytes(BLOCK_SIZE)
+            raw += struct.pack("<BQI", 2, 1, 0)
+        elif damage == "empty":
+            raw = b""
+        elif damage == "corrupt-checkpoint":
+            raw = raw[:20] + bytes([raw[20] ^ 0x01]) + raw[21:]
+        else:
+            raw = raw[record_offsets(raw)[1] :]
+        path.write_bytes(raw)
+        with pytest.raises(BadImageError):
+            ReplicaSession.load(state)
+        assert path.read_bytes() == raw
+
+
+def staged_commit_staged(tmp_path):
+    """A journal of CHECKPOINT, STAGED 1, COMMIT 1 and STAGED 2."""
+    state = str(tmp_path / "rep")
+    session = fresh_session(state_dir=state)
+    session.replay_fileop(op_open(1, 0, "f"))
+    session.commit(1)
+    session.replay_fileop(op_open(2, 1, "g"))
+    return state, tmp_path / "rep" / "journal.bin"
+
+
+def record_offsets(raw):
+    """Where each framed record of a journal starts."""
+    offsets, at = [], 0
+    while at < len(raw):
+        offsets.append(at)
+        at += journal.HEAD.size + journal.HEAD.unpack_from(raw, at)[0]
+    return offsets
 
 
 class TestMessageHandling:
