@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import struct
 import tempfile
 import time
 from dataclasses import dataclass
@@ -55,25 +56,63 @@ CRASH_POINTS = (
 )
 
 NEEDLE = 8
+_PIECE = 1 << 16  # window starts per pass, so a large chunk never builds a big tuple
+
+
+def _quads(raw, shift: int = 0) -> memoryview:
+    """The 4-byte words of `raw` at offsets shift, shift + 4, ..., as native ints."""
+    view = memoryview(raw)[shift:]
+    return view[: len(view) // 4 * 4].cast("I")
+
+
+def _words(raw, shift: int) -> tuple[int, ...]:
+    """The 8-byte words of `raw` at offsets shift, shift + 8, ..., as <Q ints."""
+    return struct.unpack_from("<%dQ" % ((len(raw) - shift) // NEEDLE), raw, shift)
+
+
+class Needles:
+    """Every 8-byte window of the registered payloads (`words`) and every
+    4-byte window of them (`quads`), as ints. Vaults that share one object
+    see each other's payloads."""
+
+    def __init__(self):
+        self.words: set[int] = set()
+        self.quads: set[int] = set()
+
+    def add(self, payload) -> None:
+        raw = bytes(payload)
+        if len(raw) < NEEDLE:
+            return
+        for shift in range(NEEDLE):
+            self.words.update(_words(raw, shift))
+        for shift in range(4):
+            self.quads.update(_quads(raw, shift))
 
 
 class TaintVault:
     """Detects any >=8-byte run of client payload in observed byte streams.
 
-    Payloads are registered as every 8-byte window at stride 1; scanning a
-    chunk checks each of its windows against that set, so any leaked
-    contiguous payload run of at least 8 bytes is caught.
+    A chunk's hit is the offset of its first 8-byte window that is also an
+    8-byte window of a registered payload, so any leaked contiguous payload
+    run of at least 8 bytes is caught. The scan works a word at a time:
+
+    - Prefilter: every 8-byte run holds a 4-byte word at a 4-aligned offset
+      of the chunk, and that word is a 4-byte window of the payload. A chunk
+      whose aligned 4-byte words all miss `needles.quads` is therefore clean.
+    - A chunk that passes is read as 8-byte words at each of the 8 byte
+      alignments, in pieces of `_PIECE` window starts, against
+      `needles.words`; only a confirmed piece is walked for the first offset.
+
+    Identical chunks are scanned once per `scan()`; each keeps its own hit.
     """
 
     def __init__(self):
-        self.needles: set[bytes] = set()
+        self.needles = Needles()
         self.hits: list[tuple[str, int]] = []
         self._chunks: list[tuple[str, bytes]] = []
 
     def register_payload(self, payload: bytes) -> None:
-        view = bytes(payload)
-        for i in range(len(view) - NEEDLE + 1):
-            self.needles.add(view[i : i + NEEDLE])
+        self.needles.add(payload)
 
     def observe(self, origin: str):
         def tap(raw: bytes) -> None:
@@ -86,16 +125,29 @@ class TaintVault:
 
     def scan(self) -> list[tuple[str, int]]:
         self.hits = []
-        needles = self.needles
-        if not needles:
+        if not self.needles.words:
             return self.hits
+        first: dict[bytes, int | None] = {}
         for origin, chunk in self._chunks:
-            view = bytes(chunk)
-            for i in range(len(view) - NEEDLE + 1):
-                if view[i : i + NEEDLE] in needles:
-                    self.hits.append((origin, i))
-                    break
+            raw = bytes(chunk)
+            if raw not in first:
+                first[raw] = self._first_hit(raw)
+            if first[raw] is not None:
+                self.hits.append((origin, first[raw]))
         return self.hits
+
+    def _first_hit(self, raw: bytes) -> int | None:
+        words, quads = self.needles.words, self.needles.quads
+        if len(raw) < NEEDLE or quads.isdisjoint(_quads(raw)):
+            return None
+        for start in range(0, len(raw) - NEEDLE + 1, _PIECE):
+            part = raw[start : start + _PIECE + NEEDLE - 1]
+            if all(words.isdisjoint(_words(part, shift)) for shift in range(NEEDLE)):
+                continue
+            for i in range(len(part) - NEEDLE + 1):
+                if int.from_bytes(part[i : i + NEEDLE], "little") in words:
+                    return start + i
+        return None
 
     @property
     def chunk_count(self) -> int:

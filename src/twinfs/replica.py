@@ -73,6 +73,7 @@ class ReplicaSession:
         self.sb: Superblock | None = None
         # Committed non-zero blocks; every other block is zeros.
         self.committed: dict[int, bytes] = {}
+        # Staged blocks: the newest staged bytes of each block a staged delta names.
         self.view: dict[int, bytes] = {}
         self.staged: list[tuple[int, dict[int, tuple[bytes, bytes]]]] = []
         self.fd_snapshots: dict[int, dict[int, FdState]] = {}
@@ -232,6 +233,7 @@ class ReplicaSession:
                 self.committed.pop(bid, None)
             else:
                 self.committed[bid] = new
+        self._drop_unstaged(delta)
         self.last_committed = seq
         self.fd_snapshots.pop(seq, None)
         # A fixed rule: compact once the records after the checkpoint outgrow it.
@@ -257,12 +259,21 @@ class ReplicaSession:
             snap = self.fd_snapshots.pop(s, None)
             if snap is not None:
                 restored_fds = snap
+        self._drop_unstaged(restored)
         if restored_fds is not None and self.engine is not None:
             self.engine.fds = restored_fds
         self.expected_seq = seq
         if self.cloud_stencils:
             self._restencil(restored)
         return True
+
+    def _drop_unstaged(self, blocks) -> None:
+        """Forget the view's copy of each block no staged delta names: the
+        committed map holds the same bytes."""
+        still = set().union(*(delta for _, delta in self.staged))
+        for bid in blocks:
+            if bid not in still:
+                self.view.pop(bid, None)
 
     def _restencil(self, dirtied) -> None:
         """Refresh the cloud-stencil map from the blocks the view just changed."""

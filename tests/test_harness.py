@@ -1,9 +1,13 @@
 import json
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinfs import harness
+from twinfs.blockstore import BLOCK_SIZE
 from twinfs.cli import main as cli_main
 from twinfs.minifs import mkfs
 
@@ -31,6 +35,89 @@ class TestTaintVault:
         vault.register_payload(b"A" * 64)
         vault.record("x", bytes(1000))
         assert not vault.scan()
+
+    def test_planted_leak_found_at_every_offset(self):
+        # The benchmark self-test's leak: 3 zero bytes, then 8 bytes of a
+        # cyclically registered pool block, then 5 zero bytes.
+        block = random.Random(1).randbytes(BLOCK_SIZE)
+        vault = harness.TaintVault()
+        vault.register_payload(block + block[:7])
+        vault.record("channel", bytes(3) + block[100:108] + bytes(5))
+        for at in range(16):
+            vault.record("net", bytes(at) + block[4093:] + block[:5] + bytes(at))
+            vault.record("net", bytes(at) + block[200:207] + bytes(9))
+        assert vault.scan() == [("channel", 3)] + [("net", at) for at in range(16)]
+
+    def test_shared_needles_are_seen_by_both_vaults(self):
+        rng = random.Random(2)
+        first, second, third = (rng.randbytes(64) for _ in range(3))
+        vault = harness.TaintVault()
+        vault.register_payload(first)
+        other = harness.TaintVault()
+        other.needles = vault.needles
+        other.record("replica-state", bytes(5) + first[10:18])
+        assert other.scan() == [("replica-state", 5)]
+        other.register_payload(second)
+        vault.register_payload(third)
+        vault.record("net", second[30:38])
+        other.record("net", third[:8])
+        assert vault.scan() == [("net", 0)]
+        assert other.scan() == [("replica-state", 5), ("net", 0)]
+
+
+def reference_scan(payloads, chunks):
+    """The detection rule one window at a time: per chunk, the first offset
+    whose 8 bytes are 8 contiguous bytes of some payload."""
+    windows = {p[i : i + 8] for p in payloads for i in range(len(p) - 7)}
+    hits = []
+    for origin, chunk in chunks:
+        chunk = bytes(chunk)
+        for i in range(len(chunk) - 7):
+            if chunk[i : i + 8] in windows:
+                hits.append((origin, i))
+                break
+    return hits
+
+
+@st.composite
+def scan_cases(draw):
+    """Payloads (some shorter than 8 bytes) and chunks: short raw ones,
+    7- to 9-byte payload runs planted at offsets 0-15, and runs planted
+    across the boundary between two scan pieces; sometimes each chunk again
+    under a second origin."""
+    payloads = draw(st.lists(st.binary(max_size=40), min_size=1, max_size=3))
+    chunks = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("raw", "planted", "straddle")))
+        origin = draw(st.sampled_from(("channel", "net")))
+        if kind == "raw":
+            chunks.append((origin, draw(st.binary(max_size=11))))
+            continue
+        source = draw(st.sampled_from(payloads))
+        length = draw(st.sampled_from((7, 8, 9)))
+        start = draw(st.integers(0, max(len(source) - length, 0)))
+        run = source[start : start + length]
+        if kind == "planted":
+            head = draw(st.binary(min_size=draw(st.integers(0, 15)), max_size=15))
+        else:
+            head = draw(st.binary(min_size=1, max_size=1)) * (harness._PIECE + draw(st.integers(-9, 1)))
+        chunk = head + run + draw(st.binary(max_size=12))
+        chunks.append((origin, bytearray(chunk) if draw(st.booleans()) else chunk))
+    if draw(st.booleans()):
+        chunks += [("replica-state", chunk) for _, chunk in chunks]
+    return payloads, chunks
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_scan_matches_the_window_by_window_rule(case):
+    payloads, chunks = case
+    vault = harness.TaintVault()
+    for payload in payloads:
+        vault.register_payload(payload)
+    for origin, chunk in chunks:
+        vault.record(origin, chunk)
+    assert vault.scan() == reference_scan(payloads, chunks)
 
 
 class TestProfiles:

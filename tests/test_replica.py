@@ -142,6 +142,40 @@ class TestReplayAndCommit:
             if bid:
                 assert not any(session._read_view(bid))
 
+    def test_committed_blocks_leave_the_view(self):
+        # 200 ops committed one behind the next staged one, then an abort of
+        # two staged ops: no step changes what the view reads, and with
+        # nothing staged the state bytes hold each committed block once.
+        session = fresh_session()
+        total = session.sb.total_blocks
+
+        def image():
+            return [session._read_view(bid) for bid in range(total)]
+
+        def stage(seq):
+            fd = (seq - 1) % 8
+            op = op_open(seq, fd, "f%d" % fd) if seq <= 8 else op_write(seq, fd, 300 + seq * 7)
+            outcome, ok = session.replay_fileop(op)
+            assert ok and outcome.status == Status.OK, seq
+
+        stage(1)
+        for seq in range(2, 201):
+            stage(seq)
+            before = image()
+            assert session.commit(seq - 1)
+            assert image() == before, seq
+        assert session.commit(200)
+        assert set(session.view) == set()
+        assert list(session.state_bytes()) == list(session.committed.values())
+        before = image()
+        stage(201)
+        stage(202)
+        assert image() != before
+        assert session.abort(201)
+        assert image() == before
+        assert set(session.view) == set()
+        assert list(session.state_bytes()) == list(session.committed.values())
+
 
 class TestReplayDeterminism:
     def test_committed_log_reproduces_durable_image(self):
