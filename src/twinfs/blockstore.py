@@ -124,12 +124,20 @@ class BlockStore:
     def snapshot(self) -> dict[int, bytes]:
         return dict(self._blocks)
 
-    def take_unsaved(self) -> dict[int, bytes]:
+    def take_unsaved(self, ids=None) -> dict[int, bytes]:
         """The blocks changed since the last call, in id order, and mark them
         saved. A block back at zeros is handed over as ZERO_BLOCK, so the
-        result applied to the last saved copy gives `snapshot()`."""
-        ids = range(self.total_blocks) if self._unsaved is None else sorted(self._unsaved)
-        self._unsaved = set()
+        result applied to the last saved copy gives `snapshot()`. With `ids`,
+        only those blocks are handed over and marked, except on a store's
+        first call, which hands over every block."""
+        if self._unsaved is None:
+            ids = range(self.total_blocks)
+            self._unsaved = set()
+        elif ids is None:
+            ids, self._unsaved = sorted(self._unsaved), set()
+        else:
+            ids = sorted(ids)
+            self._unsaved.difference_update(ids)
         return {bid: self._blocks.get(bid, ZERO_BLOCK) for bid in ids}
 
     def mark_saved(self) -> None:

@@ -447,6 +447,11 @@ class DeviceCore:
         self.fds: dict[int, FdEntry] = {}
         self.file_sizes: dict[int, int] = {}
         self.pending: deque[PendingOp] = deque()
+        # Seqs validated since the last group commit, in seq order.
+        self._validated: list[int] = []
+        # A failed op that no open fd is left to report: a pipelined CLOSE,
+        # or an op whose fd was closed behind it.
+        self._orphan_failed = False
         self._expected: deque[Expect] = deque()
         self.offline_queue: list[tuple] = []
         self._flushing = False
@@ -531,21 +536,13 @@ class DeviceCore:
         if self.durability is not None:
             self.durability.save_meta(self._meta_dict())
 
-    def _persist_store(self) -> None:
+    def _persist_store(self, ids=None) -> None:
         if self.durability is not None:
-            self.durability.save_store(self.store.take_unsaved(), self.store.total_blocks)
+            self.durability.save_store(self.store.take_unsaved(ids), self.store.total_blocks)
 
     def persist(self) -> None:
         self._persist_store()
         self._persist_meta()
-
-    def _intent_set(self, seq: int, phase: str) -> None:
-        self.intents[seq] = phase
-        self._persist_meta()
-
-    def _intent_clear(self, seq: int) -> None:
-        if self.intents.pop(seq, None) is not None:
-            self._persist_meta()
 
     def _crash_hook(self, point: str, seq: int) -> None:
         hook = self.config.crash_hook
@@ -583,6 +580,8 @@ class DeviceCore:
         elif not expect.pending.resolved:
             # A resolved op was rolled back behind an earlier failure.
             self._handle_trace_resp(expect.pending, kind, seq, body)
+        if self._validated and not self.pending:
+            self._group_commit()
 
     def _handle_hello_ack(self, kind: wire.NetKind, body: bytes) -> None:
         if kind != wire.NetKind.ACK:
@@ -602,16 +601,16 @@ class DeviceCore:
         return self.last_replica_digest
 
     def _handle_ack(self, expect: Expect, kind: wire.NetKind, seq: int) -> None:
+        # Intents are dropped in memory only; the next save carries the drop.
+        # A stale intent makes recovery resend a decision the replica has
+        # already taken, which it accepts.
         if expect.kind == "abort":
             # The abort cascaded at the replica; every intent it covered is done.
-            covered = [s for s in self.intents if s >= expect.seq]
-            for s in covered:
+            for s in [s for s in self.intents if s >= expect.seq]:
                 self.intents.pop(s)
-            if covered:
-                self._persist_meta()
             return
         if kind == wire.NetKind.ACK:
-            self._intent_clear(seq)
+            self.intents.pop(seq, None)
             return
         raise DeviceError("replica refused final commit for seq %d" % seq)
 
@@ -644,7 +643,8 @@ class DeviceCore:
             checkpoint=self.store.checkpoint(()),
         )
         self._crash_hook("before_delegate", seq)
-        self._intent_set(seq, "delegated")
+        self.intents[seq] = "delegated"
+        self._persist_meta()
         self._send(wire.NetKind.FILEOP, seq, wire.encode_fileop(op))
         self.metrics.fileops_sent += 1
         self._expected.append(Expect("op", seq, pending))
@@ -849,11 +849,11 @@ class DeviceCore:
         pending.resolved = True
         self.pending.remove(pending)
         self._fd_done(pending)
+        self.store.discard(pending.checkpoint)
         if cloud.status != Status.OK:
             # Twins agree the op fails. Any metadata they wrote before failing
             # is identical on both sides, so the transaction still commits;
             # only the client payload never made it to storage.
-            self.store.discard(pending.checkpoint)
             self._taint_pages(pending)
             pending.error = cloud.status
             self._record_fd_error(pending, cloud.status)
@@ -865,28 +865,35 @@ class DeviceCore:
                     if entry.inode == pending.file_inode:
                         entry.pos = min(entry.pos, size)
                         entry.twin_pos = -1
-            self._finish_commit(pending)
-            return
-        self.store.discard(pending.checkpoint)
-        self._memo_update(pending, cloud)
-        if pending.dirtied:
-            self._refresh_stencils(delta, pending.marked)
-        for key in pending.pages:
-            entry = self.cache.entries.get(key)
-            if entry is not None:
-                entry.trust = TRUSTED
-        self._persist_store()
-        self._intent_set(pending.seq, "executed")
-        self._crash_hook("after_device_exec", pending.seq)
-        self._finish_commit(pending)
+        else:
+            self._memo_update(pending, cloud)
+            if pending.dirtied:
+                self._refresh_stencils(delta, pending.marked)
+            for key in pending.pages:
+                entry = self.cache.entries.get(key)
+                if entry is not None:
+                    entry.trust = TRUSTED
+        self._validated.append(pending.seq)
 
-    def _finish_commit(self, pending: PendingOp) -> None:
-        self._intent_set(pending.seq, "commit-sent")
-        self._crash_hook("after_final_commit_sent", pending.seq)
-        self._send(wire.NetKind.COMMIT, pending.seq)
-        self.metrics.commits_sent += 1
-        self._expected.append(Expect("commit", pending.seq))
-        self._crash_hook("after_replica_commit", pending.seq)
+    def _group_commit(self) -> None:
+        """Save and commit every op validated since the last group commit.
+
+        It runs once no op is in flight, so the store holds validated bytes
+        only: a crash never leaves an op's metadata on the device while
+        recovery aborts that op at the replica.
+        """
+        seqs, self._validated = self._validated, []
+        self._persist_store()
+        for seq in seqs:
+            self.intents[seq] = "executed"
+        self._persist_meta()
+        for seq in seqs:
+            self._crash_hook("after_device_exec", seq)
+            self._crash_hook("after_final_commit_sent", seq)
+            self._send(wire.NetKind.COMMIT, seq)
+            self.metrics.commits_sent += 1
+            self._expected.append(Expect("commit", seq))
+            self._crash_hook("after_replica_commit", seq)
 
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
         op = pending.op
@@ -1035,6 +1042,16 @@ class DeviceCore:
     def _mark_failed(self, pending: PendingOp) -> None:
         if pending.fd is not None and pending.fd in self.fds:
             self.fds[pending.fd].failed = True
+        elif pending.fd is not None or pending.op.op == OpCode.CLOSE:
+            # open() waits for its own OPEN and reports it; nothing waits for these.
+            self._orphan_failed = True
+
+    def _take_failure(self, entry: FdEntry) -> bool:
+        """Whether an op on this fd, or one no fd reports, failed since the
+        last call that reported a failure; clears both."""
+        failed = entry.failed or self._orphan_failed
+        entry.failed = self._orphan_failed = False
+        return failed
 
     # -- draining ---------------------------------------------------------------
 
@@ -1043,6 +1060,9 @@ class DeviceCore:
             if not self._expected:
                 raise DeviceError("response expected but none outstanding")
             self._consume_next()
+        if not pending.verdict.is_match:
+            # The caller raises for its op, which an earlier failure rolled back.
+            self._orphan_failed = False
 
     def drain_ops(self) -> None:
         """Resolve every outstanding delegated operation (not commit acks)."""
@@ -1276,15 +1296,12 @@ class DeviceCore:
         if self.offline_queue:
             self._flush_offline_queue()
         self.drain_ops()
-        if entry.failed:
-            entry.failed = False
-            raise VerificationFailedError("a delegated operation on this fd diverged")
+        if self._take_failure(entry):
+            raise VerificationFailedError("a delegated operation diverged")
         if entry.last_error is not None:
             status = entry.last_error
             entry.last_error = None
             _raise_status(status)
-        self._persist_store()
-        self._persist_meta()
 
     def select_validate(self, fd: int) -> str:
         """Validation barrier: resolve every pending verdict for this fd."""
@@ -1292,8 +1309,7 @@ class DeviceCore:
         if self.offline and entry.pending:
             raise OfflineError("pending validations cannot resolve while disconnected")
         self.drain_ops()
-        if entry.failed:
-            entry.failed = False
+        if self._take_failure(entry):
             return "AnyMismatch"
         return "AllMatch"
 
@@ -1308,15 +1324,21 @@ class DeviceCore:
             self.offline_queue.append(("close", fd))
             return
         self.drain_ops()
-        failed = entry.failed
-        if not entry.twin_unknown:
-            op = FileOp(OpCode.CLOSE, fd, 0, 0)
-            pending = self._delegate(op, fd, entry.inode, entry.pos)
-            self._drain_through(pending)
-            failed = failed or not pending.verdict.is_match
-        del self.fds[fd]
+        failed = self._take_failure(entry)
+        self._delegate_close(fd)
         if failed:
-            raise VerificationFailedError("a delegated operation on this fd diverged")
+            raise VerificationFailedError("a delegated operation diverged")
+
+    def _delegate_close(self, fd: int) -> None:
+        """Drop fd, closing it at both twins without waiting for the verdict.
+
+        A CLOSE that diverges rolls back like any pipelined op. The next
+        fsync, select_validate, close or shutdown reports it, unless an op
+        rolled back behind it fails its own caller first.
+        """
+        if not self.fds[fd].twin_unknown:
+            self._delegate(FileOp(OpCode.CLOSE, fd, 0, 0), None, None, 0)
+        del self.fds[fd]
 
     # -- emergency file -------------------------------------------------------------
 
@@ -1378,15 +1400,21 @@ class DeviceCore:
         return spans
 
     def emergency_write(self, offset: int, data: bytes) -> int:
-        """Durable write with zero network traffic at any connectivity state."""
+        """Durable write with zero network traffic at any connectivity state.
+
+        Only the blocks it writes are saved: ops still in flight have
+        unvalidated bytes in the store.
+        """
         cursor = offset
         taken = 0
         per_seg = self._EMERGENCY_SEGMENT_PAGES
         segments = self.emergency["segments"]
+        written = set()
         for block, start, take in self._emergency_span(offset, len(data)):
             raw = bytearray(self.store.read_block(block))
             raw[start : start + take] = data[taken : taken + take]
             self.store.write_block(block, bytes(raw))
+            written.add(block)
             self.stencil_dirty.add(block)
             page = cursor // BLOCK_SIZE
             key = (segments[page // per_seg]["inode"], page % per_seg)
@@ -1398,7 +1426,7 @@ class DeviceCore:
                 cached.valid = None
             cursor += take
             taken += take
-        self._persist_store()
+        self._persist_store(written)
         return len(data)
 
     def emergency_read(self, offset: int, length: int) -> bytes:
@@ -1446,13 +1474,8 @@ class DeviceCore:
                     entry.pos = pos
                     self._delegate_write(fd, entry, length)
                     entry.pos = max(saved, pos + length)
-                elif item[0] == "close":
-                    _, fd = item
-                    entry = self.fds.get(fd)
-                    if entry is not None and not entry.twin_unknown:
-                        op = FileOp(OpCode.CLOSE, fd, 0, 0)
-                        self._delegate(op, None, None, 0)
-                    self.fds.pop(fd, None)
+                elif item[0] == "close" and item[1] in self.fds:
+                    self._delegate_close(item[1])
         finally:
             self._flushing = False
 
@@ -1463,6 +1486,9 @@ class DeviceCore:
             except OfflineError:
                 pass
         self.persist()
+        if self._orphan_failed:
+            self._orphan_failed = False
+            raise VerificationFailedError("a delegated operation diverged")
 
     def _memoize_evicted(self, key, entry: CacheEntry) -> None:
         if entry.block is not None and entry.trust == TRUSTED and not entry.dirty:

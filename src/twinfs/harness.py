@@ -712,26 +712,39 @@ def _metadata_op_script(ops: int, seed: int) -> list[tuple]:
             script.append(("create_write", path, rng.randrange(1, 3) * BLOCK_SIZE))
             created.append(path)
         elif roll < 0.7:
-            script.append(("append", rng.choice(created), rng.randrange(1, 2) * BLOCK_SIZE))
+            # Two appends leave one op in flight while the other is validated.
+            script.append(("append", rng.choice(created), BLOCK_SIZE, rng.randrange(1, 3)))
         else:
             script.append(("truncate", rng.choice(created)))
     return script
 
 
-def _apply_script_op(device: DeviceCore, op: tuple, payload_seed: int) -> None:
+def _apply_script_op(device: DeviceCore, op: tuple, payload_seed: int, arm) -> None:
+    """Run one scripted op, calling arm() once, where a crash scenario
+    starts to cut the op."""
     rng = random.Random(payload_seed)
     if op[0] == "create_write":
+        arm()
         fd = device.open(op[1], OpFlag.CREATE)
         device.write(fd, rng.randbytes(op[2]))
         device.fsync(fd)
         device.close(fd)
     elif op[0] == "append":
+        # One append is cut from the reopen on, whose OPEN runs with the
+        # previous op's CLOSE in flight. Two appends are cut after the
+        # reopen, so the crash finds both in flight together.
+        if op[3] == 1:
+            arm()
         fd = device.open(op[1], OpFlag.CREATE)
         device.lseek(fd, 0, 2)
-        device.write(fd, rng.randbytes(op[2]))
+        if op[3] > 1:
+            arm()
+        for _ in range(op[3]):
+            device.write(fd, rng.randbytes(op[2]))
         device.fsync(fd)
         device.close(fd)
     elif op[0] == "truncate":
+        arm()
         fd = device.open(op[1], OpFlag.TRUNC)
         device.fsync(fd)
         device.close(fd)
@@ -812,8 +825,8 @@ def _one_crash_scenario(
     device.persist()
     try:
         for i, op in enumerate(script):
-            fired["armed"] = i == op_index
-            _apply_script_op(device, op, payload_seed=seed * 1000 + i)
+            fired["armed"] = False
+            _apply_script_op(device, op, seed * 1000 + i, partial(fired.update, armed=i == op_index))
         device.shutdown()
     except CrashSignal:
         pass

@@ -11,6 +11,7 @@ from twinfs.device_core import (
     LOCAL_REJECT,
     MATCH,
     MISMATCH,
+    MemoryDurability,
     NoSpaceError,
     NoSuchFileError,
     TRUSTED,
@@ -19,8 +20,8 @@ from twinfs.device_core import (
     verify_traces,
 )
 from twinfs.harness import build_system
-from twinfs.local_twin import LocalTwin
-from twinfs.minifs import BlockRequest, OpFlag, ReqKind, mkfs
+from twinfs.local_twin import EvilBehavior, LocalTwin
+from twinfs.minifs import BlockRequest, OpCode, OpFlag, ReqKind, Status, mkfs
 from twinfs.transport import DelayedTransport, LoopbackTransport, OfflineError
 
 R = lambda b: BlockRequest(ReqKind.READ, b)
@@ -304,6 +305,75 @@ class TestAsyncWriteDelayHiding:
         dev.fsync(fd)
         elapsed = time.monotonic() - start
         assert elapsed < 0.200  # five round trips overlapped, not serialized
+
+
+class TestPipelinedClose:
+    def test_close_does_not_wait_for_its_verdict(self):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=50)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        start = time.monotonic()
+        dev.close(fd)
+        assert time.monotonic() - start < 0.050  # less than one delay
+        assert [p.op.op for p in dev.pending] == [OpCode.CLOSE]
+        matches = dev.metrics.matches
+        fd = dev.open("f")
+        assert dev.metrics.matches == matches + 2  # the CLOSE, then the open
+        assert dev.fstat(fd) == 0
+
+    def test_close_that_diverges_fails_the_next_synchronous_call(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"c" * 5000)
+        dev.fsync(fd)
+        system.twin.behavior = DivergeOnClose()
+        dev.close(fd)  # the CLOSE is in flight; its verdict comes later
+        system.twin.behavior = EvilBehavior()
+        with pytest.raises(VerificationFailedError):
+            dev.open("f")
+        fd = dev.open("f")
+        assert dev.fstat(fd) == 5000
+        dev.close(fd)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_close_that_diverges_fails_an_fsync_on_another_fd(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        fd1 = dev.open("a", OpFlag.CREATE)
+        fd2 = dev.open("b", OpFlag.CREATE)
+        system.twin.behavior = DivergeOnClose()
+        dev.close(fd1)
+        system.twin.behavior = EvilBehavior()
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd2)  # nothing pending on fd2; only the CLOSE diverged
+        dev.fsync(fd2)  # reported once
+        assert dev.select_validate(fd2) == "AllMatch"
+        dev.close(fd2)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_close_that_diverges_fails_shutdown_after_saving(self):
+        sink = MemoryDurability()
+        system = build_system(total_blocks=256, inode_count=32, durability=sink)
+        dev = system.device
+        fd = dev.open("a", OpFlag.CREATE)
+        dev.write(fd, b"s" * 5000)
+        dev.fsync(fd)
+        system.twin.behavior = DivergeOnClose()
+        dev.close(fd)
+        with pytest.raises(VerificationFailedError):
+            dev.shutdown()
+        assert sink.load_meta()["intents"] == {}
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+
+class DivergeOnClose(EvilBehavior):
+    def on_outcome(self, op, outcome):
+        if op.op == OpCode.CLOSE:
+            outcome.status = Status.BAD_FD
+        return outcome
 
 
 class TestUntrustedReads:
