@@ -5,9 +5,10 @@ cache and block store. Cache misses are delegated to two filesystem twins:
 the untrusted local engine behind the stencil-gated channel, and the
 metadata-only cloud replica. Only operations both twins agree on survive;
 everything executed speculatively from local advice is checkpointed and
-rolled back on dissension. Writes are asynchronous (the client never waits
-for the network), reads are synchronous unless the fd was opened with the
-UNTRUSTED flag, and fstat is always synchronous.
+rolled back on dissension. Writes, closes and reopens of a validated path
+are asynchronous (the client never waits for the network), reads are
+synchronous unless the fd was opened with the UNTRUSTED flag, and fstat is
+always synchronous.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from twinfs.minifs import (
     TOKEN_LEN,
 )
 from twinfs.transport import OfflineError
+
+# Delegated ops awaiting their verdict; a new op first consumes the oldest
+# replies, so unread replies and held checkpoints stay bounded.
+MAX_IN_FLIGHT = 64
 
 
 class DeviceError(Exception):
@@ -172,11 +177,13 @@ class PageCache:
 
 
 class MemoTable:
-    """Validated (file, page) -> block mappings; repeat reads skip the twins."""
+    """Validated mappings: (file, page) -> block, so repeat reads skip the
+    twins, and path tokens -> inode, so reopens need not wait for a verdict.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.entries: dict[tuple[int, int], int] = {}
+        self.entries: dict[tuple, int] = {}
 
     def put(self, key, block: int) -> None:
         if self.enabled:
@@ -617,10 +624,9 @@ class DeviceCore:
     # -- delegation pipeline -----------------------------------------------------
 
     def _alloc_fd(self) -> int:
-        used = set(self.fds)
-        for p in self.pending:
-            if p.op.op == OpCode.OPEN:
-                used.add(p.op.fd)
+        # A number that an op in flight names stays taken, so that a failure
+        # of an op whose fd was closed is never charged to a new fd.
+        used = set(self.fds).union(p.op.fd for p in self.pending)
         fd = 0
         while fd in used:
             fd += 1
@@ -629,6 +635,8 @@ class DeviceCore:
     def _delegate(self, op: FileOp, fd: int | None, file_inode: int | None, pos_before: int) -> PendingOp:
         if self.offline:
             raise OfflineError("cloud unreachable")
+        while len(self.pending) >= MAX_IN_FLIGHT:
+            self._consume_next()
         if self.offline_queue and not self._flushing:
             self._flush_offline_queue()
         seq = self.next_seq
@@ -897,9 +905,12 @@ class DeviceCore:
 
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
         op = pending.op
-        if op.op == OpCode.OPEN and op.flags & OpFlag.TRUNC:
-            self.memo.invalidate_file(cloud.inode)
-            self.cache.drop_file(cloud.inode)
+        if op.op == OpCode.OPEN:
+            if op.flags & OpFlag.TRUNC:
+                self.memo.invalidate_file(cloud.inode)
+                self.cache.drop_file(cloud.inode)
+            # twinfs never unlinks or renames, so the binding never changes.
+            self.memo.put(op.name_tokens, cloud.inode)
             return
         if op.op not in (OpCode.READ, OpCode.WRITE):
             return
@@ -1043,7 +1054,8 @@ class DeviceCore:
         if pending.fd is not None and pending.fd in self.fds:
             self.fds[pending.fd].failed = True
         elif pending.fd is not None or pending.op.op == OpCode.CLOSE:
-            # open() waits for its own OPEN and reports it; nothing waits for these.
+            # An op whose fd was closed behind it, or a CLOSE: no fd is left
+            # to report it. An OPEN without an fd is waited for by open().
             self._orphan_failed = True
 
     def _take_failure(self, entry: FdEntry) -> bool:
@@ -1105,7 +1117,24 @@ class DeviceCore:
             return self._open_offline(path, tokens, flags)
         fd = self._alloc_fd()
         op = FileOp(OpCode.OPEN, fd, flags, 0, tokens)
-        pending = self._delegate(op, None, None, 0)
+        inode = None if flags & (OpFlag.CREATE | OpFlag.TRUNC) else self.memo.get(tokens)
+        if inode is None:
+            pending = self._delegate(op, None, None, 0)
+        else:
+            # A validated path names the same inode for good: go on once the
+            # local twin agrees, and let the verdict arrive like a write's.
+            self.fds[fd] = FdEntry(inode=inode, pos=0, twin_pos=0, flags=flags, tokens=tokens)
+            pending = self._delegate(op, fd, inode, 0)
+            local = pending.local
+            if (
+                local is not None
+                and local.status == Status.OK
+                and local.inode == inode
+                and not (pending.local_violation or pending.reject_seen)
+            ):
+                self.file_sizes[inode] = self._inode_size(inode)
+                return fd
+            del self.fds[fd]
         self._drain_through(pending)
         if not pending.verdict.is_match:
             raise VerificationFailedError("open diverged: %s" % pending.verdict.kind)
@@ -1323,7 +1352,6 @@ class DeviceCore:
             entry.closed = True
             self.offline_queue.append(("close", fd))
             return
-        self.drain_ops()
         failed = self._take_failure(entry)
         self._delegate_close(fd)
         if failed:

@@ -185,13 +185,14 @@ class ReplicaSession:
         return stencil.metadata_digest(self._read_durable, self.sb.total_blocks)
 
     def state_bytes(self):
-        """Every durable and staged byte held by the replica (taint scans)."""
+        """Every durable and staged block held by the replica, each once
+        (taint scans). A delta's old bytes are a committed block, zeros or
+        an earlier delta's new bytes, and the view holds the newest of these.
+        """
         yield from self.committed.values()
         for _, delta in self.staged:
-            for old, new in delta.values():
-                yield old
+            for _, new in delta.values():
                 yield new
-        yield from self.view.values()
 
     # -- 2PC operations ------------------------------------------------------
 

@@ -10,6 +10,7 @@ from twinfs.device_core import (
     DeviceCore,
     LOCAL_REJECT,
     MATCH,
+    MAX_IN_FLIGHT,
     MISMATCH,
     MemoryDurability,
     NoSpaceError,
@@ -21,7 +22,7 @@ from twinfs.device_core import (
 )
 from twinfs.harness import build_system
 from twinfs.local_twin import EvilBehavior, LocalTwin
-from twinfs.minifs import BlockRequest, OpCode, OpFlag, ReqKind, Status, mkfs
+from twinfs.minifs import SEEK_END, BlockRequest, OpCode, OpFlag, ReqKind, Status, mkfs
 from twinfs.transport import DelayedTransport, LoopbackTransport, OfflineError
 
 R = lambda b: BlockRequest(ReqKind.READ, b)
@@ -318,8 +319,8 @@ class TestPipelinedClose:
         assert [p.op.op for p in dev.pending] == [OpCode.CLOSE]
         matches = dev.metrics.matches
         fd = dev.open("f")
-        assert dev.metrics.matches == matches + 2  # the CLOSE, then the open
         assert dev.fstat(fd) == 0
+        assert dev.metrics.matches == matches + 3  # the CLOSE, the OPEN, the FSTAT
 
     def test_close_that_diverges_fails_the_next_synchronous_call(self):
         system = build_system(total_blocks=256, inode_count=32)
@@ -331,7 +332,7 @@ class TestPipelinedClose:
         dev.close(fd)  # the CLOSE is in flight; its verdict comes later
         system.twin.behavior = EvilBehavior()
         with pytest.raises(VerificationFailedError):
-            dev.open("f")
+            dev.open("f", OpFlag.CREATE)
         fd = dev.open("f")
         assert dev.fstat(fd) == 5000
         dev.close(fd)
@@ -374,6 +375,208 @@ class DivergeOnClose(EvilBehavior):
         if op.op == OpCode.CLOSE:
             outcome.status = Status.BAD_FD
         return outcome
+
+
+class ExtraWriteIn(EvilBehavior):
+    """The twin's trace for one kind of op gains a write the engine never made."""
+
+    def __init__(self, opcode):
+        self.opcode = opcode
+
+    def on_outcome(self, op, outcome):
+        if op.op == self.opcode:
+            outcome.trace.append(W(3))
+        return outcome
+
+
+class OtherInodeOnOpen(EvilBehavior):
+    def on_outcome(self, op, outcome):
+        if op.op == OpCode.OPEN:
+            outcome.inode += 1
+        return outcome
+
+
+def _memoized_file(system):
+    """Create "f" with 5,000 bytes and close it: its OPEN is then validated."""
+    dev = system.device
+    fd = dev.open("f", OpFlag.CREATE)
+    dev.write(fd, b"m" * 5000)
+    dev.fsync(fd)
+    dev.close(fd)
+
+
+class TestPipelinedOpen:
+    def test_memoized_open_does_not_wait_for_its_verdict(self):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
+        dev = system.device
+        _memoized_file(system)
+        start = time.monotonic()
+        fd = dev.open("f")
+        assert time.monotonic() - start < 0.040  # less than one delay
+        assert OpCode.OPEN in [p.op.op for p in dev.pending]
+        assert dev.read(fd, 5000) == (b"m" * 5000, TRUSTED)
+        dev.close(fd)
+
+    @pytest.mark.parametrize("flags", [OpFlag.CREATE, OpFlag.TRUNC])
+    def test_create_and_trunc_opens_wait(self, flags):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
+        dev = system.device
+        _memoized_file(system)
+        start = time.monotonic()
+        dev.open("f", flags)
+        assert time.monotonic() - start >= 0.040
+        assert not dev.pending
+
+    def test_open_waits_with_memoization_off(self):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=40, memo_enabled=False)
+        dev = system.device
+        _memoized_file(system)
+        start = time.monotonic()
+        dev.open("f")
+        assert time.monotonic() - start >= 0.040
+        assert not dev.pending
+
+    def test_forgotten_mappings_make_open_wait(self):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
+        dev = system.device
+        _memoized_file(system)
+        dev.memo.entries.clear()
+        start = time.monotonic()
+        dev.open("f")
+        assert time.monotonic() - start >= 0.040
+
+    def test_truncating_open_keeps_the_path_memoized(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        dev.close(dev.open("f", OpFlag.TRUNC))
+        fd = dev.open("f")
+        assert OpCode.OPEN in [p.op.op for p in dev.pending]
+        assert dev.fstat(fd) == 0
+
+    def test_open_that_diverges_fails_the_next_fsync_on_its_fd(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        system.twin.behavior = ExtraWriteIn(OpCode.OPEN)
+        fd = dev.open("f")  # the local twin agrees on the inode: no wait
+        system.twin.behavior = EvilBehavior()
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.read(fd, 5000) == (b"m" * 5000, TRUSTED)
+        dev.fsync(fd)
+        dev.close(fd)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_open_that_diverges_after_its_close_fails_another_fd_once(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        other = dev.open("g", OpFlag.CREATE)
+        system.twin.behavior = ExtraWriteIn(OpCode.OPEN)
+        fd = dev.open("f")
+        system.twin.behavior = EvilBehavior()
+        dev.close(fd)
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(other)
+        dev.fsync(other)  # reported once
+        dev.close(other)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_twin_naming_another_inode_fails_open_at_once(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        dev.drain_all()
+        pre = dev.store.digest()
+        system.twin.behavior = OtherInodeOnOpen()
+        with pytest.raises(VerificationFailedError):
+            dev.open("f")
+        assert dev.store.digest() == pre
+        assert not dev.fds
+        system.twin.behavior = EvilBehavior()
+        fd = dev.open("f")
+        assert dev.fstat(fd) == 5000
+        dev.close(fd)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_write_that_diverges_after_its_close_fails_an_fsync_on_another_fd(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        fd1 = dev.open("a", OpFlag.CREATE)
+        fd2 = dev.open("b", OpFlag.CREATE)
+        system.twin.behavior = ExtraWriteIn(OpCode.WRITE)
+        dev.write(fd1, b"w" * 5000)
+        system.twin.behavior = EvilBehavior()
+        dev.close(fd1)  # neither waits for the WRITE's verdict
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd2)
+        dev.fsync(fd2)  # reported once
+        dev.close(fd2)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_reopen_after_a_rolled_back_append_reads_the_true_size(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        other = dev.open("g", OpFlag.CREATE)
+        fd = dev.open("f")
+        dev.lseek(fd, 0, SEEK_END)
+        system.twin.behavior = ExtraWriteIn(OpCode.WRITE)
+        dev.write(fd, b"x" * 3000)
+        system.twin.behavior = EvilBehavior()
+        dev.close(fd)
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(other)  # the append is rolled back with no fd left on "f"
+        fd = dev.open("f")
+        data, _ = dev.read(fd, 10000)
+        assert data == b"m" * 5000
+
+    def test_agreed_failure_after_close_is_not_charged_to_a_reopened_fd(self):
+        system = build_system(total_blocks=12, inode_count=32)  # 8 data blocks
+        dev = system.device
+        dev.close(dev.open("other", OpFlag.CREATE))
+        dev.drain_all()
+        fd = dev.open("big", OpFlag.CREATE)
+        for i in range(10):
+            dev.write(fd, bytes([i]) * BLOCK_SIZE)
+        dev.close(fd)
+        other = dev.open("other")  # no wait: the writes are still in flight
+        assert other != fd
+        dev.fsync(other)  # the disk filled up under "big", not "other"
+        dev.close(other)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    @pytest.mark.parametrize("diverge_at", [None, 5])
+    def test_cycles_without_a_sync_call_stay_bounded(self, diverge_at):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        deepest = reports = 0
+        for cycle in range(400):
+            fd = dev.open("f")
+            if cycle == diverge_at:
+                system.twin.behavior = ExtraWriteIn(OpCode.WRITE)
+            dev.write(fd, b"%03d" % cycle * 33 + b"!")
+            system.twin.behavior = EvilBehavior()
+            try:
+                dev.close(fd)
+            except VerificationFailedError:
+                reports += 1
+            deepest = max(deepest, len(dev.pending))
+        try:
+            dev.shutdown()
+        except VerificationFailedError:
+            reports += 1
+        assert deepest == MAX_IN_FLIGHT
+        assert reports == (diverge_at is not None)
+        assert not dev.pending
+        assert dev.device_metadata_digest() == system.session.durable_digest()
 
 
 class TestUntrustedReads:

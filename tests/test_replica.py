@@ -177,6 +177,17 @@ class TestReplayAndCommit:
         assert list(session.state_bytes()) == list(session.committed.values())
 
 
+    def test_state_bytes_yield_each_staged_block_once(self):
+        session = fresh_session()
+        for op in (op_open(1, 0, "a"), op_write(2, 0, 5000)):
+            outcome, ok = session.replay_fileop(op)
+            assert ok and outcome.status == Status.OK
+        held = list(session.state_bytes())
+        assert session.view
+        for bid, data in session.view.items():
+            assert held.count(data) == 1, bid
+
+
 class TestReplayDeterminism:
     def test_committed_log_reproduces_durable_image(self):
         ops = [
