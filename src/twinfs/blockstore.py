@@ -17,6 +17,15 @@ BLOCK_SIZE = 4096
 ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
+def fsync_dir(path: str) -> None:
+    """fsync the directory holding `path`, so a rename into it is durable."""
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class OutOfRangeError(Exception):
     """Block id is outside the store geometry."""
 
@@ -151,7 +160,10 @@ class BlockStore:
             for bid in sorted(self._blocks):
                 f.seek(bid * BLOCK_SIZE)
                 f.write(self._blocks[bid])
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
+        fsync_dir(path)
 
     @classmethod
     def load(cls, path: str) -> "BlockStore":

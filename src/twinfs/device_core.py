@@ -278,7 +278,8 @@ class DeviceConfig:
 class MemoryDurability:
     """Durable-state sink kept in process memory (benchmarks and unit tests).
 
-    Each saved delta is merged into one map of the non-zero blocks.
+    Each saved delta is merged into one map of the non-zero blocks at once:
+    a process crash loses the memory too, so no save needs a commit point.
     """
 
     def __init__(self):
@@ -307,17 +308,18 @@ class MemoryDurability:
 class FileDurability:
     """Durable-state sink backed by a state directory.
 
-    `store.img` is a base image and `store.log` holds one `journal` record
-    per store save since the base was written (PROTOCOL.md, "Durable
-    logs"). Loading replays the base and the whole records, and truncates
-    the log at the first torn or corrupt record, so a save is all or nothing.
-    Once the log outgrows the base image, the base is rewritten and the log
-    emptied. The first save of a sink that was not loaded replaces what the
-    directory held.
+    `store.img` is a base image and `store.log` a `journal` log over it
+    (PROTOCOL.md, "Device"). A store save appends a BLOCKS record; a
+    metadata save appends a STATE record, fsynced, which commits the BLOCKS
+    records before it. Loading truncates the log after the last STATE
+    record it keeps. Once the log outgrows the base image, a metadata save
+    rewrites the base, then the log as just its STATE record. The first
+    store save of a sink that was not loaded replaces the directory.
     """
 
+    BLOCKS, STATE = b"B", b"S"  # the kind byte that starts a record body
+
     def __init__(self, state_dir: str):
-        self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self._img = os.path.join(state_dir, "store.img")
         self._log = os.path.join(state_dir, "store.log")
@@ -331,44 +333,54 @@ class FileDurability:
             # the old base, a whole image, not the old log over a new base.
             self._log_bytes = journal.rewrite(self._log, [])
             BlockStore(total_blocks, snapshot).save(self._img)
-            return
-        if not snapshot:
-            return
-        self._log_bytes += journal.append(self._log, journal.pack_blocks(snapshot.items()))
-        if self._log_bytes > total_blocks * BLOCK_SIZE:
-            # The base takes in the whole log before the log is emptied; the
-            # log replayed over a base that already holds it changes nothing.
-            BlockStore(total_blocks, self.load_store()).save(self._img)
-            self._log_bytes = journal.rewrite(self._log, [])
-
-    def load_store(self):
-        if not os.path.exists(self._img):
-            return None
-        store = BlockStore.load(self._img)
-
-        def apply(body: bytes) -> bool:
-            blocks = journal.unpack_blocks(body)
-            if blocks is None or any(bid >= store.total_blocks for bid in blocks):
-                return False
-            for bid, data in blocks.items():
-                store.write_block(bid, data)
-            return True
-
-        self._log_bytes = journal.replay(self._log, apply) if os.path.exists(self._log) else 0
-        return store.snapshot()
+        elif snapshot:
+            self._log_bytes += journal.append(self._log, self.BLOCKS + journal.pack_blocks(snapshot.items()))
 
     def save_meta(self, meta: dict) -> None:
-        tmp = os.path.join(self.state_dir, "meta.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(tmp, os.path.join(self.state_dir, "meta.json"))
+        body = self.STATE + json.dumps(meta).encode()
+        self._log_bytes += journal.append(self._log, body, sync=True)
+        total = meta["total_blocks"]
+        if self._log_bytes > total * BLOCK_SIZE:
+            # The base takes in the whole log before the log is rewritten;
+            # the log replayed over a base that already holds it changes nothing.
+            BlockStore(total, self.load_store()).save(self._img)
+            self._log_bytes = journal.rewrite(self._log, [body], sync=True)
+
+    def _replay(self):
+        """The blocks and metadata that the last STATE record kept commits."""
+        if not os.path.exists(self._img):
+            return None, None
+        store = BlockStore.load(self._img)
+        held, state = {}, {}
+
+        def parse(body: bytes) -> bool | None:
+            kind, rest = body[:1], body[1:]
+            if kind == self.BLOCKS:
+                blocks = journal.unpack_blocks(rest)
+                if blocks is None or any(bid >= store.total_blocks for bid in blocks):
+                    return False
+                held.update(blocks)
+                return None  # kept only once a STATE record commits it
+            try:
+                meta = json.loads(rest) if kind == self.STATE else None
+            except ValueError:
+                return False
+            if not isinstance(meta, dict):
+                return False
+            for bid, data in held.items():
+                store.write_block(bid, data)
+            held.clear()
+            state["meta"] = meta
+            return True
+
+        self._log_bytes = journal.replay(self._log, parse) if os.path.exists(self._log) else 0
+        return store.snapshot(), state.get("meta")
+
+    def load_store(self):
+        return self._replay()[0]
 
     def load_meta(self):
-        path = os.path.join(self.state_dir, "meta.json")
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return json.load(f)
+        return self._replay()[1]
 
 
 class MetadataGate:
@@ -473,8 +485,10 @@ class DeviceCore:
         meta = meta or {}
         self.device_id = bytes.fromhex(meta["device_id"]) if meta.get("device_id") else uuid.uuid4().bytes
         self.prf_key = bytes.fromhex(meta["prf_key"]) if meta.get("prf_key") else os.urandom(16)
-        self.next_seq = meta.get("next_seq", 1)
-        self.intents: dict[int, str] = {int(k): v for k, v in meta.get("intents", {}).items()}
+        # First and last seq of the last group commit; (1, 0), an empty
+        # range, before the first. Every seq before it is committed.
+        self.batch = tuple(meta.get("batch", (1, 0)))
+        self.next_seq = self.batch[1] + 1
         self.emergency: dict | None = meta.get("emergency")
         self.last_replica_digest = ""
         self._capture_blocks: dict | None = None
@@ -529,26 +543,23 @@ class DeviceCore:
 
     # -- durable state ---------------------------------------------------------
 
-    def _meta_dict(self) -> dict:
-        return {
-            "device_id": self.device_id.hex(),
-            "prf_key": self.prf_key.hex(),
-            "next_seq": self.next_seq,
-            "intents": {str(k): v for k, v in self.intents.items()},
-            "emergency": self.emergency,
-            "total_blocks": self.store.total_blocks,
-        }
-
     def _persist_meta(self) -> None:
         if self.durability is not None:
-            self.durability.save_meta(self._meta_dict())
+            self.durability.save_meta({
+                "device_id": self.device_id.hex(),
+                "prf_key": self.prf_key.hex(),
+                "batch": self.batch,
+                "emergency": self.emergency,
+                "total_blocks": self.store.total_blocks,
+            })
 
     def _persist_store(self, ids=None) -> None:
         if self.durability is not None:
             self.durability.save_store(self.store.take_unsaved(ids), self.store.total_blocks)
 
-    def persist(self) -> None:
-        self._persist_store()
+    def persist(self, ids=None) -> None:
+        """Save the store (only `ids`, if given) and commit it."""
+        self._persist_store(ids)
         self._persist_meta()
 
     def _crash_hook(self, point: str, seq: int) -> None:
@@ -582,10 +593,11 @@ class DeviceCore:
             kind, seq, body = wire.NetKind.ERROR, expect.seq, b""
         if expect.kind == "hello":
             self._handle_hello_ack(kind, body)
-        elif expect.kind != "op":
-            self._handle_ack(expect, kind, seq)
-        elif not expect.pending.resolved:
-            # A resolved op was rolled back behind an earlier failure.
+        elif expect.kind == "commit" and kind != wire.NetKind.ACK:
+            raise DeviceError("replica refused final commit for seq %d" % seq)
+        elif expect.kind == "op" and not expect.pending.resolved:
+            # A resolved op was rolled back behind an earlier failure. An
+            # ABORT needs no answer: it cascades and takes a seq never sent.
             self._handle_trace_resp(expect.pending, kind, seq, body)
         if self._validated and not self.pending:
             self._group_commit()
@@ -607,20 +619,6 @@ class DeviceCore:
         self._hello()
         return self.last_replica_digest
 
-    def _handle_ack(self, expect: Expect, kind: wire.NetKind, seq: int) -> None:
-        # Intents are dropped in memory only; the next save carries the drop.
-        # A stale intent makes recovery resend a decision the replica has
-        # already taken, which it accepts.
-        if expect.kind == "abort":
-            # The abort cascaded at the replica; every intent it covered is done.
-            for s in [s for s in self.intents if s >= expect.seq]:
-                self.intents.pop(s)
-            return
-        if kind == wire.NetKind.ACK:
-            self.intents.pop(seq, None)
-            return
-        raise DeviceError("replica refused final commit for seq %d" % seq)
-
     # -- delegation pipeline -----------------------------------------------------
 
     def _alloc_fd(self) -> int:
@@ -635,6 +633,8 @@ class DeviceCore:
     def _delegate(self, op: FileOp, fd: int | None, file_inode: int | None, pos_before: int) -> PendingOp:
         if self.offline:
             raise OfflineError("cloud unreachable")
+        if len(self._validated) >= MAX_IN_FLIGHT:
+            self.drain_ops()  # the group commit runs once nothing is in flight
         while len(self.pending) >= MAX_IN_FLIGHT:
             self._consume_next()
         if self.offline_queue and not self._flushing:
@@ -651,8 +651,6 @@ class DeviceCore:
             checkpoint=self.store.checkpoint(()),
         )
         self._crash_hook("before_delegate", seq)
-        self.intents[seq] = "delegated"
-        self._persist_meta()
         self._send(wire.NetKind.FILEOP, seq, wire.encode_fileop(op))
         self.metrics.fileops_sent += 1
         self._expected.append(Expect("op", seq, pending))
@@ -887,21 +885,20 @@ class DeviceCore:
         """Save and commit every op validated since the last group commit.
 
         It runs once no op is in flight, so the store holds validated bytes
-        only: a crash never leaves an op's metadata on the device while
-        recovery aborts that op at the replica.
+        only. The metadata save is the commit point: it makes the store save
+        durable and names the batch, whose COMMITs recovery resends.
         """
         seqs, self._validated = self._validated, []
         self._persist_store()
-        for seq in seqs:
-            self.intents[seq] = "executed"
+        self._crash_hook("after_device_exec", seqs[-1])
+        self.batch = (seqs[0], seqs[-1])
         self._persist_meta()
+        self._crash_hook("after_device_commit", seqs[-1])
         for seq in seqs:
-            self._crash_hook("after_device_exec", seq)
-            self._crash_hook("after_final_commit_sent", seq)
             self._send(wire.NetKind.COMMIT, seq)
             self.metrics.commits_sent += 1
             self._expected.append(Expect("commit", seq))
-            self._crash_hook("after_replica_commit", seq)
+        self._crash_hook("after_replica_commit", seqs[-1])
 
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
         op = pending.op
@@ -1003,24 +1000,18 @@ class DeviceCore:
 
     def _fail_pending(self, pending: PendingOp, verdict: Verdict, cloud: OpOutcome | None) -> None:
         """Mismatch path: roll back this op and everything stacked on it."""
-        later = [p for p in self.pending if p.seq > pending.seq]
-        restored = set(pending.checkpoint.saved)
-        for p in sorted(later, key=lambda q: q.seq, reverse=True):
+        restored: set[int] = set()
+        # Every op in flight is `pending` or stacked on it. Newest first, so
+        # each block ends at its pre-image from before `pending`.
+        for p in reversed(list(self.pending)):
             restored.update(p.checkpoint.saved)
             self.store.rollback(p.checkpoint)
             self._taint_pages(p)
-            p.verdict = Verdict(CLOUD_REJECT)
+            p.verdict = verdict if p is pending else Verdict(CLOUD_REJECT)
             p.resolved = True
             self.pending.remove(p)
             self._fd_done(p)
             self._mark_failed(p)
-        self.store.rollback(pending.checkpoint)
-        self._taint_pages(pending)
-        pending.verdict = verdict
-        pending.resolved = True
-        self.pending.remove(pending)
-        self._fd_done(pending)
-        self._mark_failed(pending)
         if self.config.stencil_source == "cloud":
             # The map as the op began with it, keeping the deltas of ops
             # validated since. Earlier pending ops already hold these blocks
@@ -1034,7 +1025,6 @@ class DeviceCore:
             self.metrics.aborts_sent += 1
             self._expected.append(Expect("abort", pending.seq))
         self.next_seq = pending.seq
-        self._persist_meta()
         # The local twin may have installed state for aborted ops; force a
         # fresh engine and lazy reopen/reseek of every surviving fd.
         self.twin.reset_engine()
@@ -1454,7 +1444,7 @@ class DeviceCore:
                 cached.valid = None
             cursor += take
             taken += take
-        self._persist_store(written)
+        self.persist(written)
         return len(data)
 
     def emergency_read(self, offset: int, length: int) -> bytes:
@@ -1466,28 +1456,23 @@ class DeviceCore:
     # -- disconnection and recovery ----------------------------------------------------
 
     def reconnect_recover(self) -> None:
-        """Resend unresolved 2PC decisions and flush buffered operations."""
+        """Resend the last group commit's COMMITs, abort every op after it,
+        and flush buffered operations."""
         if self.offline:
             raise OfflineError("transport still severed")
         self._hello()
-        for seq in sorted(self.intents):
-            phase = self.intents[seq]
-            if phase == "delegated":
-                self._send(wire.NetKind.ABORT, seq)
-                self.metrics.aborts_sent += 1
-                self._expected.append(Expect("abort", seq))
-                self.next_seq = min(self.next_seq, seq)
-            else:
-                self._send(wire.NetKind.COMMIT, seq)
-                self.metrics.commits_sent += 1
-                self._expected.append(Expect("commit", seq))
+        for seq in range(self.batch[0], self.batch[1] + 1):
+            self._send(wire.NetKind.COMMIT, seq)
+            self.metrics.commits_sent += 1
+            self._expected.append(Expect("commit", seq))
+        self._send(wire.NetKind.ABORT, self.next_seq)
+        self.metrics.aborts_sent += 1
+        self._expected.append(Expect("abort", self.next_seq))
         self.drain_all()
         if self.offline_queue:
             self._flush_offline_queue()
 
     def _flush_offline_queue(self) -> None:
-        if self._flushing:
-            return
         self._flushing = True
         try:
             queued = self.offline_queue

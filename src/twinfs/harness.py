@@ -51,7 +51,7 @@ CRASH_POINTS = (
     "before_delegate",
     "after_replay_staged",
     "after_device_exec",
-    "after_final_commit_sent",
+    "after_device_commit",
     "after_replica_commit",
 )
 
@@ -762,12 +762,14 @@ def explore_crashes(
 
     Each scenario runs a fresh system, executes the op log until the chosen
     crash fires, restarts both sides from durable state, runs recovery, and
-    compares metadata digests.
+    compares metadata digests. `fired` counts, per point, the scenarios the
+    crash actually cut; the others converge without a crash.
     """
     own_root = state_root is None
     state_root = state_root or tempfile.mkdtemp(prefix="twinfs-crash-")
     scenarios = 0
     converged = 0
+    fired = dict.fromkeys(points, 0)
     failures = []
     try:
         for seed in seeds:
@@ -775,9 +777,10 @@ def explore_crashes(
             for op_index in range(len(script)):
                 for point in points:
                     scenarios += 1
-                    outcome = _one_crash_scenario(
+                    cut, outcome = _one_crash_scenario(
                         script, op_index, point, state_root, total_blocks, inode_count, seed
                     )
+                    fired[point] += cut
                     if outcome is None:
                         converged += 1
                     else:
@@ -790,6 +793,7 @@ def explore_crashes(
     return {
         "scenarios": scenarios,
         "converged": converged,
+        "fired": fired,
         "failures": failures,
         "ops_per_log": ops,
         "points": list(points),
@@ -799,7 +803,7 @@ def explore_crashes(
 def _one_crash_scenario(
     script, op_index: int, point: str, state_root: str, total_blocks: int,
     inode_count: int, seed: int,
-) -> str | None:
+) -> tuple[bool, str | None]:
     # Both sides keep their durable state in real files, and restart from
     # a fresh sink or session on the same directory.
     replica_dir = os.path.join(state_root, "replica")
@@ -833,7 +837,7 @@ def _one_crash_scenario(
     else:
         # The op log never reached the crash point (vacuously converged).
         dd = device.device_metadata_digest()
-        return None if dd == system.session.durable_digest() else "no-crash digest mismatch"
+        return False, None if dd == system.session.durable_digest() else "no-crash digest mismatch"
 
     restarted = ReplicaSession.load(replica_dir)
     transport = DelayedTransport(LoopbackTransport(restarted.handle_message), 0)
@@ -842,9 +846,9 @@ def _one_crash_scenario(
         device2 = DeviceCore.load(FileDurability(device_dir), transport, LocalTwin(), config)
         device2.reconnect_recover()
     except Exception as exc:  # recovery must never fail
-        return "recovery error: %r" % (exc,)
+        return True, "recovery error: %r" % (exc,)
     dd = device2.device_metadata_digest()
     rd = restarted.durable_digest()
     if dd != rd:
-        return "digest divergence device=%s replica=%s" % (dd[:12], rd[:12])
-    return None
+        return True, "digest divergence device=%s replica=%s" % (dd[:12], rd[:12])
+    return True, None

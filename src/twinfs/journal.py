@@ -14,7 +14,7 @@ import os
 import struct
 import zlib
 
-from twinfs.blockstore import BLOCK_SIZE
+from twinfs.blockstore import BLOCK_SIZE, fsync_dir
 
 HEAD = struct.Struct("<II")  # body length, CRC-32 of the body
 _BLOCK_ID = struct.Struct("<I")
@@ -59,11 +59,7 @@ def rewrite(path: str, bodies, sync: bool = False) -> int:
         size = _write(f, bodies, sync)
     os.replace(path + ".tmp", path)
     if sync:
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_dir(path)
     return size
 
 
@@ -71,6 +67,8 @@ def replay(path: str, parse, required: bool = False) -> int | None:
     """Hand each record body to `parse` in order, until a record is torn
     (shorter than its header or its length), fails its CRC, or `parse`
     returns False for it. Truncate the log there and return its length.
+    A record for which `parse` returns None is kept only if a later record
+    is kept, so an uncommitted tail is truncated too.
 
     With `required` the first record must be whole and accepted; otherwise
     the log is left as it was and the result is None.
@@ -80,9 +78,10 @@ def replay(path: str, parse, required: bool = False) -> int | None:
         while len(head := f.read(HEAD.size)) == HEAD.size:
             length, crc = HEAD.unpack(head)
             body = f.read(length)
-            if len(body) < length or zlib.crc32(body) != crc or not parse(body):
+            if len(body) < length or zlib.crc32(body) != crc or (kept := parse(body)) is False:
                 break
-            good = f.tell()
+            if kept:
+                good = f.tell()
         if required and not good:
             return None
         f.truncate(good)

@@ -366,7 +366,7 @@ class TestPipelinedClose:
         dev.close(fd)
         with pytest.raises(VerificationFailedError):
             dev.shutdown()
-        assert sink.load_meta()["intents"] == {}
+        assert sink.load_store() == dev.store.snapshot()
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
 
@@ -576,6 +576,25 @@ class TestPipelinedOpen:
         assert deepest == MAX_IN_FLIGHT
         assert reports == (diverge_at is not None)
         assert not dev.pending
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_cycles_without_a_sync_call_keep_committing(self):
+        # Nothing drains a full pipeline here, so a backlog of MAX_IN_FLIGHT
+        # validated ops does, and the group commit runs.
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        backlog = staged = 0
+        for cycle in range(400):
+            fd = dev.open("f")
+            dev.write(fd, b"%03d" % cycle * 33 + b"!")
+            dev.close(fd)
+            backlog = max(backlog, len(dev._validated))
+            staged = max(staged, len(system.session.staged))
+        assert backlog <= MAX_IN_FLIGHT
+        assert staged <= 2 * MAX_IN_FLIGHT
+        assert dev.metrics.commits_sent >= 3 * 400 - 2 * MAX_IN_FLIGHT
+        dev.shutdown()
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
 

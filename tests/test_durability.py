@@ -1,5 +1,6 @@
 """The device's durable-state sinks: delta saves, the store log, reloads."""
 
+import json
 import os
 import signal
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import twinfs
 from twinfs.blockstore import BLOCK_SIZE, BlockStore, ZERO_BLOCK
-from twinfs.device_core import DeviceConfig, DeviceCore, FileDurability, MemoryDurability
+from twinfs.device_core import CrashSignal, DeviceConfig, DeviceCore, FileDurability, MemoryDurability
 from twinfs.harness import build_system
 from twinfs.local_twin import LocalTwin
 from twinfs.minifs import OpFlag
@@ -74,12 +75,12 @@ def test_load_equals_snapshot_after_every_save(kind, actions):
                 cp = dev.store.checkpoint([bid])
                 dev.store.write_block(bid, filled(byte))
                 if save_between:
-                    dev._persist_store()
+                    dev.persist()
                     saved = dev.store.snapshot()
                     assert sinks.sink.load_store() == saved
                 dev.store.rollback(cp)
             elif action[0] == "save":
-                dev._persist_store()
+                dev.persist()
                 saved = dev.store.snapshot()
                 assert sinks.sink.load_store() == saved
             else:
@@ -88,7 +89,7 @@ def test_load_equals_snapshot_after_every_save(kind, actions):
                     sinks.sink = sinks.reopen()
                 dev = DeviceCore.load(sinks.sink, dev.transport, LocalTwin(), DeviceConfig(emergency_bytes=0))
                 assert dev.store.snapshot() == saved
-        dev._persist_store()
+        dev.persist()
         assert sinks.sink.load_store() == dev.store.snapshot()
     finally:
         system.session.close()
@@ -163,7 +164,7 @@ def test_save_hands_over_only_the_changed_blocks():
     system.session.close()
 
 
-def test_one_metadata_save_per_delegated_op_and_per_group_commit():
+def test_one_metadata_save_per_group_commit_and_none_per_op():
     class Counted(MemoryDurability):
         saves = 0
 
@@ -177,16 +178,17 @@ def test_one_metadata_save_per_delegated_op_and_per_group_commit():
     fd = dev.open("f", OpFlag.CREATE)
     sink.saves = 0
     sent = dev.metrics.fileops_sent
+    first = dev.next_seq
     for _ in range(4):
         dev.write(fd, b"a" * BLOCK_SIZE)
+    assert sink.saves == 0  # none per delegated op
     dev.fsync(fd)
     assert dev.metrics.fileops_sent - sent == 4
-    assert sink.saves == 4 + 1  # one "delegated" save each, one group commit
-    intents = sink.load_meta()["intents"]
-    assert sorted(intents.values()) == ["executed"] * 4
+    assert sink.saves == 1  # one group commit
+    assert sink.load_meta()["batch"] == [first, first + 3]
     assert sink.load_store() == dev.store.snapshot()
     dev.shutdown()
-    assert sink.load_meta()["intents"] == {}
+    assert sink.load_meta()["batch"] == [first, first + 3]
     system.session.close()
 
 
@@ -237,17 +239,31 @@ def test_emergency_write_through_a_sink_not_loaded_saves_the_whole_store(tmp_pat
     assert FileDurability(str(tmp_path)).load_store() == dev.store.snapshot()
 
 
+def _save(sink, delta, total=16):
+    """A store save and the metadata save that commits it."""
+    sink.save_store(delta, total)
+    sink.save_meta({"total_blocks": total})
+
+
+_STATE_RECORD = 8 + 1 + len(json.dumps({"total_blocks": 16}))
+
+
+def _record(body):
+    return len(body).to_bytes(4, "little") + zlib.crc32(body).to_bytes(4, "little") + body
+
+
 def _log_of_three_saves(tmp_path):
     """A file sink with a base image and three logged saves, the last one
     overwriting block 2 and zeroing block 5; returns it, the state before
-    the last save, and the last record's offset in store.log."""
+    the last save, and the offset in store.log of the last save's BLOCKS
+    record, which its STATE record follows."""
     sink = FileDurability(str(tmp_path))
-    sink.save_store({2: filled(1), 5: filled(2)}, 16)  # the base image
-    sink.save_store({3: filled(3)}, 16)
-    sink.save_store({2: filled(4), 9: filled(5)}, 16)
+    _save(sink, {2: filled(1), 5: filled(2)})  # the base image
+    _save(sink, {3: filled(3)})
+    _save(sink, {2: filled(4), 9: filled(5)})
     before = sink.load_store()
     start = os.path.getsize(tmp_path / "store.log")
-    sink.save_store({2: filled(6), 5: ZERO_BLOCK}, 16)
+    _save(sink, {2: filled(6), 5: ZERO_BLOCK})
     assert sink.load_store() == {2: filled(6), 3: filled(3), 9: filled(5)}
     return sink, before, start
 
@@ -256,7 +272,7 @@ def test_torn_last_record_loads_the_save_before(tmp_path):
     _, before, start = _log_of_three_saves(tmp_path)
     log = tmp_path / "store.log"
     whole = log.read_bytes()
-    assert len(whole) == start + 8 + 2 * (4 + BLOCK_SIZE)
+    assert len(whole) == start + 8 + 1 + 2 * (4 + BLOCK_SIZE) + _STATE_RECORD
     for cut in range(start, len(whole)):
         log.write_bytes(whole[:cut])
         assert FileDurability(str(tmp_path)).load_store() == before, cut
@@ -274,43 +290,60 @@ def test_corrupt_crc_drops_the_record(tmp_path, byte):
     assert sink.load_store() == before
     assert log.stat().st_size == start
     # Saving goes on from the state it loaded.
-    sink.save_store({7: filled(9)}, 16)
+    _save(sink, {7: filled(9)})
     assert FileDurability(str(tmp_path)).load_store() == {**before, 7: filled(9)}
 
 
 @pytest.mark.parametrize("body", [
-    (16).to_bytes(4, "little") + filled(7),  # a block past the geometry
-    (3).to_bytes(4, "little") + filled(7)[:100],  # a partial entry
-], ids=["past-the-geometry", "partial-entry"])
+    b"B" + (16).to_bytes(4, "little") + filled(7),  # a block past the geometry
+    b"B" + (3).to_bytes(4, "little") + filled(7)[:100],  # a partial entry
+    b"S" + b"[16]",  # metadata that is not a JSON object
+], ids=["past-the-geometry", "partial-entry", "bad-state"])
 def test_record_with_a_valid_crc_and_a_bad_body_is_dropped(tmp_path, body):
     sink, before, start = _log_of_three_saves(tmp_path)
     log = tmp_path / "store.log"
     raw = log.read_bytes()[:start]
-    log.write_bytes(raw + len(body).to_bytes(4, "little") + zlib.crc32(body).to_bytes(4, "little") + body)
+    # A STATE record after the bad one would commit it, were it accepted.
+    log.write_bytes(raw + _record(body) + _record(b'S{"total_blocks": 16}'))
     assert FileDurability(str(tmp_path)).load_store() == before
     assert log.stat().st_size == start
 
 
+def test_store_save_without_a_metadata_save_is_dropped(tmp_path):
+    sink, before, start = _log_of_three_saves(tmp_path)
+    after = sink.load_store()
+    sink.save_store({4: filled(8)}, 16)  # no STATE record commits it
+    assert FileDurability(str(tmp_path)).load_meta() == {"total_blocks": 16}
+    reloaded = FileDurability(str(tmp_path))
+    assert reloaded.load_store() == after
+    # The uncommitted tail was truncated, so a later STATE record cannot
+    # commit it.
+    _save(reloaded, {6: filled(6)})
+    assert FileDurability(str(tmp_path)).load_store() == {**after, 6: filled(6)}
+
+
 def test_log_is_folded_into_the_base_once_it_outgrows_it(tmp_path):
     sink = FileDurability(str(tmp_path))
-    sink.save_store({}, 4)  # a 16 KiB base
+    _save(sink, {}, 4)  # a 16 KiB base
     expected = {}
+    state = 8 + 1 + len(json.dumps({"total_blocks": 4}))
     for i in range(1, 5):
-        sink.save_store({i % 4: filled(i)}, 4)
+        _save(sink, {i % 4: filled(i)}, 4)
         expected[i % 4] = filled(i)
-    # Four one-block records (4 x 4108 bytes) outgrow the base: it was
-    # rewritten and the log emptied.
-    assert os.path.getsize(tmp_path / "store.log") == 0
+    # Four one-block records (4 x 4109 bytes) and their STATE records
+    # outgrow the base: it was rewritten and the log holds the last STATE.
+    assert os.path.getsize(tmp_path / "store.log") == state
     assert BlockStore.load(str(tmp_path / "store.img")).snapshot() == expected
     assert FileDurability(str(tmp_path)).load_store() == expected
+    assert FileDurability(str(tmp_path)).load_meta() == {"total_blocks": 4}
 
 
 def test_first_save_of_a_sink_not_loaded_replaces_the_directory(tmp_path):
     old = FileDurability(str(tmp_path))
-    old.save_store({1: filled(1)}, 8)
-    old.save_store({2: filled(2)}, 8)
+    _save(old, {1: filled(1)}, 8)
+    _save(old, {2: filled(2)}, 8)
     new = FileDurability(str(tmp_path))
-    new.save_store({3: filled(3)}, 8)
+    _save(new, {3: filled(3)}, 8)
     assert FileDurability(str(tmp_path)).load_store() == {3: filled(3)}
 
 
@@ -323,6 +356,7 @@ sink = FileDurability(sys.argv[1])
 i = 0
 while True:
     sink.save_store(delta(i), 64)
+    sink.save_meta({"total_blocks": 64, "save": i})
     print(i, flush=True)
     i += 1
 """
@@ -349,24 +383,112 @@ def _state_after(save):
     return blocks
 
 
-@pytest.mark.parametrize("saves", [3, 11, 26])
-def test_killed_mid_save_reloads_a_whole_save(tmp_path, saves):
-    # A process saving in a loop is killed; the state it leaves loads as the
-    # last save it finished or the one it was making, never a mix.
+def _kill_after(script, args, lines):
+    """Run `script` in a child process, SIGKILL it once it has printed
+    `lines` lines, and return the lines it printed after those."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(twinfs.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     child = subprocess.Popen(
-        [sys.executable, "-c", _DELTA + _CHILD, str(tmp_path)],
-        stdout=subprocess.PIPE, text=True, env=env,
+        [sys.executable, "-c", script, *args], stdout=subprocess.PIPE, text=True, env=env,
     )
     try:
-        for _ in range(saves):
+        for _ in range(lines):
             assert child.stdout.readline()
     finally:
         child.send_signal(signal.SIGKILL)
         rest = child.stdout.read().split()
         child.wait()
+    return rest
+
+
+@pytest.mark.parametrize("saves", [3, 11, 26])
+def test_killed_mid_save_reloads_a_whole_save(tmp_path, saves):
+    # A process saving in a loop is killed; the state it leaves loads as the
+    # last save it finished or the one it was making, never a mix.
+    rest = _kill_after(_DELTA + _CHILD, [str(tmp_path)], saves)
     last = saves - 1 + len(rest)
-    loaded = FileDurability(str(tmp_path)).load_store()
-    assert loaded in (_state_after(last), _state_after(last + 1))
+    sink = FileDurability(str(tmp_path))
+    meta = sink.load_meta()
+    assert meta["save"] in (last, last + 1)
+    assert sink.load_store() == _state_after(meta["save"])
+
+
+def _revive(device_dir, replica_dir):
+    """Both sides restarted from their files, after recovery."""
+    replica = ReplicaSession.load(replica_dir)
+    transport = DelayedTransport(LoopbackTransport(replica.handle_message), 0)
+    device = DeviceCore.load(
+        FileDurability(device_dir), transport, LocalTwin(), DeviceConfig(emergency_bytes=0)
+    )
+    device.reconnect_recover()
+    return device, replica
+
+
+def test_crash_between_a_group_commits_store_save_and_its_commit_converges(tmp_path):
+    class CrashAfterStoreSave(FileDurability):
+        """Crashes in the first metadata save after a store save, once armed."""
+
+        armed = cut = False
+
+        def save_store(self, snapshot, total_blocks):
+            super().save_store(snapshot, total_blocks)
+            self.cut = self.armed
+
+        def save_meta(self, meta):
+            if self.cut:
+                raise CrashSignal("save_meta", 0)
+            super().save_meta(meta)
+
+    device_dir, replica_dir = str(tmp_path / "device"), str(tmp_path / "replica")
+    sink = CrashAfterStoreSave(device_dir)
+    system = build_system(
+        total_blocks=256, inode_count=32, emergency_bytes=0,
+        durability=sink, replica_state_dir=replica_dir,
+    )
+    dev = system.device
+    dev.persist()
+    fd = dev.open("f", OpFlag.CREATE)
+    sink.armed = True
+    dev.write(fd, b"w" * 5000)
+    with pytest.raises(CrashSignal):
+        dev.fsync(fd)  # its group commit saves the store, then crashes
+    system.session.close()
+    revived, replica = _revive(device_dir, replica_dir)
+    assert revived.device_metadata_digest() == replica.durable_digest()
+    assert revived.fstat(revived.open("f")) == 0  # the write is gone on both sides
+    replica.close()
+
+
+_DEVICE_CHILD = r"""
+import sys
+from twinfs.device_core import FileDurability
+from twinfs.harness import build_system
+from twinfs.minifs import OpFlag
+
+system = build_system(
+    total_blocks=128, inode_count=32, emergency_bytes=0,
+    durability=FileDurability(sys.argv[1]), replica_state_dir=sys.argv[2],
+)
+dev = system.device
+dev.persist()
+i = 0
+while True:
+    fd = dev.open("f%d" % (i % 4), OpFlag.CREATE | OpFlag.TRUNC)
+    dev.write(fd, bytes([i % 251 + 1]) * 5000)
+    dev.fsync(fd)
+    dev.close(fd)
+    print(i, flush=True)
+    i += 1
+"""
+
+
+@pytest.mark.parametrize("cycles", [2, 7, 19])
+def test_device_killed_mid_loop_converges_with_its_replica(tmp_path, cycles):
+    # The device and its replica run in one process on real files, which is
+    # killed between or inside open/write/fsync/close cycles.
+    device_dir, replica_dir = str(tmp_path / "device"), str(tmp_path / "replica")
+    _kill_after(_DEVICE_CHILD, [device_dir, replica_dir], cycles)
+    revived, replica = _revive(device_dir, replica_dir)
+    assert revived.device_metadata_digest() == replica.durable_digest()
+    replica.close()

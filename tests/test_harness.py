@@ -183,11 +183,15 @@ class TestCrashExploration:
         assert report["scenarios"] == 4 * len(harness.CRASH_POINTS)
         assert report["converged"] == report["scenarios"]
         assert report["failures"] == []
+        # Every point cuts at least one scenario: none converges only vacuously.
+        assert set(report["fired"]) == set(harness.CRASH_POINTS)
+        assert all(report["fired"].values())
 
     def test_zero_length_log_vacuous(self):
         report = harness.explore_crashes(ops=0, seeds=(0,))
         assert report["scenarios"] == 0
         assert report["failures"] == []
+        assert not any(report["fired"].values())
 
 
 class TestCli:
