@@ -210,7 +210,6 @@ class FdEntry:
     closed: bool = False
     failed: bool = False
     last_error: Status | None = None
-    pending: int = 0
 
 
 @dataclass
@@ -226,13 +225,11 @@ class PendingOp:
     local: OpOutcome | None = None
     cloud: OpOutcome | None = None
     local_violation: str | None = None
-    reject_seen: bool = False
     pages: list[tuple[int, int]] = field(default_factory=list)
     # The stencil entry each block changed since this op began had then.
     map_undo: dict[int, tuple] = field(default_factory=dict)
     verdict: Verdict | None = None
     error: Status | None = None
-    resolved: bool = False
 
 
 @dataclass(eq=False)  # _hello finds its own record by identity
@@ -394,51 +391,50 @@ class MetadataGate:
 
     def __init__(self, device: "DeviceCore"):
         self.device = device
-        self._write_frames: list[wire.Frame] = []
         self.current: PendingOp | None = None
 
-    def __call__(self, frame: wire.Frame) -> list[wire.Frame]:
+    def __call__(self, frames: list[wire.Frame]) -> list[wire.Frame]:
+        """Answer one request message of the current op; REJECT a malformed one."""
         device = self.device
-        if frame.kind == wire.FrameKind.META_READ_REQ:
-            bid = int.from_bytes(wire.reassemble_message([frame])[:4], "little")
+        seq = self.current.seq
+        kind = frames[0].kind if frames else None
+        try:
+            blob = wire.accept_message(frames, kind, seq)
+        except wire.DecodeError:
+            blob = b""
+        bid = int.from_bytes(blob[:4], "little")
+        if kind == wire.FrameKind.META_READ_REQ and len(blob) == 4:
             if bid >= device.store.total_blocks:
-                return wire.fragment_message(wire.FrameKind.META_READ_RESP, frame.seq, ZERO_BLOCK)
+                return wire.fragment_message(wire.FrameKind.META_READ_RESP, seq, ZERO_BLOCK)
             try:
                 data = stencil.serve_block_read(device.smap, bid, device.store.read_block(bid))
             except stencil.BlockRejected:
-                return self._reject(frame.seq, bid)
-            return wire.fragment_message(wire.FrameKind.META_READ_RESP, frame.seq, data)
-        if frame.kind == wire.FrameKind.META_WRITE_REQ:
-            self._write_frames.append(frame)
-            if len(frame.payload) - wire.FRAG_HEADER.size == wire.FRAG_CHUNK_MAX:
-                return []
-            blob = wire.reassemble_message(self._write_frames)
-            self._write_frames = []
-            bid = int.from_bytes(blob[:4], "little")
-            data = blob[4:]
-            if bid >= device.store.total_blocks or len(data) != BLOCK_SIZE:
-                return self._reject(frame.seq, bid)
-            try:
-                merged = stencil.apply_block_write(device.smap, bid, data, device.store.read_block(bid))
-            except stencil.BlockRejected:
-                return self._reject(frame.seq, bid)
-            self.current.checkpoint.add(bid)
-            self.current.dirtied.add(bid)
-            device.stencil_dirty.add(bid)
-            if device.smap.classify(bid) == stencil.CLASS_UNUSED:
-                # A freshly allocated metadata block (directory growth) must
-                # read back what the twin wrote; the post-validation refresh
-                # settles its real class, and a rollback restores the old map.
-                device._note_map({bid: device.smap.entry(bid)})
-                device.smap.classes[bid] = stencil.CLASS_METADATA
-                self.current.marked.add(bid)
-            device.store.write_block(bid, merged)
-            return [wire.Frame(wire.FrameKind.META_WRITE_RESP, frame.seq, wire.FRAG_HEADER.pack(0) + b"\x00")]
-        return self._reject(frame.seq, 0)
+                return self._reject(seq, bid)
+            return wire.fragment_message(wire.FrameKind.META_READ_RESP, seq, data)
+        if kind != wire.FrameKind.META_WRITE_REQ or len(blob) != 4 + BLOCK_SIZE:
+            return self._reject(seq, bid)
+        if bid >= device.store.total_blocks:
+            return self._reject(seq, bid)
+        try:
+            merged = stencil.apply_block_write(device.smap, bid, blob[4:], device.store.read_block(bid))
+        except stencil.BlockRejected:
+            return self._reject(seq, bid)
+        self.current.checkpoint.add(bid)
+        self.current.dirtied.add(bid)
+        device.stencil_dirty.add(bid)
+        if device.smap.classify(bid) == stencil.CLASS_UNUSED:
+            # A freshly allocated metadata block (directory growth) must
+            # read back what the twin wrote; the post-validation refresh
+            # settles its real class, and a rollback restores the old map.
+            device._note_map({bid: device.smap.entry(bid)})
+            device.smap.classes[bid] = stencil.CLASS_METADATA
+            self.current.marked.add(bid)
+        device.store.write_block(bid, merged)
+        return [wire.Frame(wire.FrameKind.META_WRITE_RESP, seq, wire.FRAG_HEADER.pack(0) + b"\x00")]
 
     def _reject(self, seq: int, bid: int) -> list[wire.Frame]:
         self.device.metrics.rejects_served += 1
-        self.current.reject_seen = True
+        self.current.local_violation = "the gate rejected a request for block %d" % bid
         payload = wire.FRAG_HEADER.pack(0) + bid.to_bytes(4, "little") + b"\x01"
         return [wire.Frame(wire.FrameKind.REJECT, seq, payload)]
 
@@ -595,7 +591,7 @@ class DeviceCore:
             self._handle_hello_ack(kind, body)
         elif expect.kind == "commit" and kind != wire.NetKind.ACK:
             raise DeviceError("replica refused final commit for seq %d" % seq)
-        elif expect.kind == "op" and not expect.pending.resolved:
+        elif expect.kind == "op" and expect.pending.verdict is None:
             # A resolved op was rolled back behind an earlier failure. An
             # ABORT needs no answer: it cascades and takes a seq never sent.
             self._handle_trace_resp(expect.pending, kind, seq, body)
@@ -659,8 +655,6 @@ class DeviceCore:
         self._run_local(pending)
         if pending.local is not None and pending.local.status == Status.OK:
             self._speculate(pending)
-        if fd is not None and fd in self.fds:
-            self.fds[fd].pending += 1
         return pending
 
     def _run_local(self, pending: PendingOp) -> None:
@@ -669,18 +663,9 @@ class DeviceCore:
             frames = wire.fragment_message(
                 wire.FrameKind.FILEOP, pending.seq, wire.encode_fileop(pending.op)
             )
-            responses = self.channel.delegate(frames)
-            bad_seq = [f for f in responses if f.seq != pending.seq]
-            if bad_seq or not responses:
-                pending.local_violation = "stale or missing trace frames"
-                return
-            if any(f.kind != wire.FrameKind.TRACE for f in responses):
-                pending.local_violation = "unexpected frame kind in trace response"
-                return
-            blob = wire.reassemble_message(responses)
-            outcome, _ = wire.decode_outcome(pending.op.op, blob)
-            pending.local = outcome
-        except (wire.DecodeError, wire.ChannelClosed) as exc:
+            blob = wire.accept_message(self.channel.delegate(frames), wire.FrameKind.TRACE, pending.seq)
+            pending.local, _ = wire.decode_outcome(pending.op.op, blob)
+        except wire.DecodeError as exc:
             pending.local_violation = str(exc)
         finally:
             self.gate.current = None
@@ -816,7 +801,7 @@ class DeviceCore:
     # -- verdicts -------------------------------------------------------------------
 
     def _judge(self, pending: PendingOp, cloud: OpOutcome, ok: bool) -> Verdict:
-        if pending.local_violation or pending.reject_seen or pending.local is None:
+        if pending.local_violation or pending.local is None:
             return Verdict(LOCAL_REJECT)
         if pending.local.status == Status.REJECTED:
             return Verdict(LOCAL_REJECT)
@@ -852,9 +837,7 @@ class DeviceCore:
 
     def _apply_match(self, pending: PendingOp, cloud: OpOutcome, delta) -> None:
         pending.verdict = Verdict(MATCH)
-        pending.resolved = True
         self.pending.remove(pending)
-        self._fd_done(pending)
         self.store.discard(pending.checkpoint)
         if cloud.status != Status.OK:
             # Twins agree the op fails. Any metadata they wrote before failing
@@ -993,11 +976,6 @@ class DeviceCore:
         if pending.fd is not None and pending.fd in self.fds:
             self.fds[pending.fd].last_error = status
 
-    def _fd_done(self, pending: PendingOp) -> None:
-        if pending.fd is not None and pending.fd in self.fds:
-            entry = self.fds[pending.fd]
-            entry.pending = max(0, entry.pending - 1)
-
     def _fail_pending(self, pending: PendingOp, verdict: Verdict, cloud: OpOutcome | None) -> None:
         """Mismatch path: roll back this op and everything stacked on it."""
         restored: set[int] = set()
@@ -1008,9 +986,7 @@ class DeviceCore:
             self.store.rollback(p.checkpoint)
             self._taint_pages(p)
             p.verdict = verdict if p is pending else Verdict(CLOUD_REJECT)
-            p.resolved = True
             self.pending.remove(p)
-            self._fd_done(p)
             self._mark_failed(p)
         if self.config.stencil_source == "cloud":
             # The map as the op began with it, keeping the deltas of ops
@@ -1058,7 +1034,7 @@ class DeviceCore:
     # -- draining ---------------------------------------------------------------
 
     def _drain_through(self, pending: PendingOp) -> None:
-        while not pending.resolved:
+        while pending.verdict is None:
             if not self._expected:
                 raise DeviceError("response expected but none outstanding")
             self._consume_next()
@@ -1120,7 +1096,7 @@ class DeviceCore:
                 local is not None
                 and local.status == Status.OK
                 and local.inode == inode
-                and not (pending.local_violation or pending.reject_seen)
+                and not pending.local_violation
             ):
                 self.file_sizes[inode] = self._inode_size(inode)
                 return fd
@@ -1309,7 +1285,7 @@ class DeviceCore:
     def fsync(self, fd: int) -> None:
         entry = self._fd(fd)
         if self.offline:
-            if entry.pending or any(q[1] == fd for q in self.offline_queue):
+            if any(p.fd == fd for p in self.pending) or any(q[1] == fd for q in self.offline_queue):
                 raise OfflineError("pending validations cannot resolve while disconnected")
             return
         if self.offline_queue:
@@ -1325,7 +1301,7 @@ class DeviceCore:
     def select_validate(self, fd: int) -> str:
         """Validation barrier: resolve every pending verdict for this fd."""
         entry = self._fd(fd)
-        if self.offline and entry.pending:
+        if self.offline and any(p.fd == fd for p in self.pending):
             raise OfflineError("pending validations cannot resolve while disconnected")
         self.drain_ops()
         if self._take_failure(entry):

@@ -23,46 +23,33 @@ from twinfs.minifs import (
 class SyncChannel:
     """In-process stand-in for the fixed-size shared-memory window.
 
-    Every frame crossing in either direction is a full 4096-byte encoding
-    pushed through a mailbox and offered to the taps, so confidentiality
-    scans observe exactly what an off-core eavesdropper would.
+    Each crossing carries one whole message. Every frame of it is encoded to
+    its full 4096 bytes and offered to the taps before the far side decodes
+    it, so confidentiality scans observe exactly what an off-core
+    eavesdropper would.
     """
 
     def __init__(self, gate, twin):
-        self.gate = gate  # callable(Frame) -> list[Frame]
+        self.gate = gate  # callable(request frames) -> reply frames
         self.twin = twin
         self.taps: list = []
-        self.to_twin = wire.FrameMailbox()
-        self.to_device = wire.FrameMailbox()
 
-    def _push(self, mailbox: wire.FrameMailbox, frame: wire.Frame) -> bytes:
-        raw = wire.encode_frame(frame)
-        for tap in self.taps:
-            tap(raw)
-        mailbox.send(raw)
-        return raw
+    def _cross(self, frames) -> list[wire.Frame]:
+        out = []
+        for frame in frames:
+            raw = wire.encode_frame(frame)
+            for tap in self.taps:
+                tap(raw)
+            out.append(wire.decode_frame(raw))
+        return out
 
     def delegate(self, frames) -> list[wire.Frame]:
-        """Device -> twin: deliver a FileOp, run the twin, collect its TRACE."""
-        for frame in frames:
-            self._push(self.to_twin, frame)
-        inbound = [wire.decode_frame(self.to_twin.recv()) for _ in range(len(frames))]
-        for frame in self.twin.execute(self, inbound):
-            self._push(self.to_device, frame)
-        out = []
-        while len(self.to_device):
-            out.append(wire.decode_frame(self.to_device.recv()))
-        return out
+        """Device -> twin: deliver a FileOp, run the twin, return its TRACE."""
+        return self._cross(self.twin.execute(self, self._cross(frames)))
 
     def meta_call(self, frames) -> list[wire.Frame]:
         """Twin -> device gate round trip for metadata blocks."""
-        responses: list[wire.Frame] = []
-        for frame in frames:
-            self._push(self.to_device, frame)
-            for resp in self.gate(wire.decode_frame(self.to_device.recv())):
-                self._push(self.to_twin, resp)
-                responses.append(wire.decode_frame(self.to_twin.recv()))
-        return responses
+        return self._cross(self.gate(self._cross(frames)))
 
 
 class ChannelAccessor(MetadataAccessor):

@@ -9,7 +9,6 @@ Byte layouts are documented with golden vectors in PROTOCOL.md.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -31,6 +30,7 @@ FRAME_HEADER = struct.Struct("<BQH")  # kind, seq, payload length
 FRAME_PAYLOAD_MAX = FRAME_SIZE - FRAME_HEADER.size  # 4085
 FRAG_HEADER = struct.Struct("<H")  # offset of this chunk in the message
 FRAG_CHUNK_MAX = FRAME_PAYLOAD_MAX - FRAG_HEADER.size  # 4083
+MESSAGE_FRAMES_MAX = 64  # the most frames of one message the device accepts
 
 _FILEOP = struct.Struct("<BIIQ16s")  # op, fd, flags, count, name_token
 _TRACE_HEAD = struct.Struct("<BII")  # flags, status, entry count
@@ -125,46 +125,36 @@ def fragment_message(kind: FrameKind, seq: int, blob: bytes) -> list[Frame]:
 
 
 def reassemble_message(frames) -> bytes:
+    """Join the chunks of one message, which ends at its first short chunk."""
+    if not frames:
+        raise DecodeError("message without frames")
     parts = []
     expect = 0
-    for frame in frames:
+    for i, frame in enumerate(frames):
         if len(frame.payload) < FRAG_HEADER.size:
             raise DecodeError("fragment missing offset header")
         (offset,) = FRAG_HEADER.unpack_from(frame.payload, 0)
         if offset != expect & 0xFFFF:
             raise DecodeError("fragment offset %d, expected %d" % (offset, expect))
         chunk = frame.payload[FRAG_HEADER.size :]
+        if (len(chunk) < FRAG_CHUNK_MAX) != (i == len(frames) - 1):
+            raise DecodeError("message does not end at its first short chunk")
         parts.append(chunk)
         expect += len(chunk)
     return b"".join(parts)
 
 
-class FrameMailbox:
-    """One direction of the channel: FIFO delivery of whole frames."""
+def accept_message(frames, kind: FrameKind, seq: int) -> bytes:
+    """The device's framing rule for what the twin sends across the channel.
 
-    def __init__(self, capacity: int = 64):
-        self._frames: deque[bytes] = deque()
-        self.capacity = capacity
-        self.closed = False
-
-    def send(self, raw: bytes) -> None:
-        if self.closed:
-            raise ChannelClosed()
-        if len(raw) != FRAME_SIZE:
-            raise LengthMismatch("channel carries exactly %d-byte frames" % FRAME_SIZE)
-        if len(self._frames) >= self.capacity:
-            raise ChannelClosed("mailbox overflow")
-        self._frames.append(raw)
-
-    def recv(self) -> bytes:
-        if not self._frames:
-            if self.closed:
-                raise ChannelClosed()
-            raise ChannelClosed("recv on empty mailbox")
-        return self._frames.popleft()
-
-    def __len__(self) -> int:
-        return len(self._frames)
+    Returns the body of one whole message of `kind` for op `seq`, sent in at
+    most MESSAGE_FRAMES_MAX frames; raises DecodeError for anything else.
+    """
+    if len(frames) > MESSAGE_FRAMES_MAX:
+        raise DecodeError("message of %d frames" % len(frames))
+    if any(frame.kind != kind or frame.seq != seq for frame in frames):
+        raise DecodeError("frame of another kind or op in a %s message for seq %d" % (kind, seq))
+    return reassemble_message(frames)
 
 
 # -- FileOp ---------------------------------------------------------------
@@ -412,5 +402,7 @@ def encode_error(code: int, message: str) -> bytes:
 
 
 def decode_error(body: bytes) -> tuple[int, str]:
+    if len(body) < 4:
+        raise LengthMismatch("error body truncated")
     (code,) = struct.unpack_from("<I", body, 0)
     return code, body[4:].decode("utf-8", "replace")

@@ -1,8 +1,9 @@
 import time
+from dataclasses import replace
 
 import pytest
 
-from twinfs import harness
+from twinfs import harness, wire
 from twinfs.blockstore import BLOCK_SIZE, OutOfRangeError
 from twinfs.device_core import (
     BadFdError,
@@ -866,6 +867,86 @@ class TestAttacks:
         with pytest.raises(VerificationFailedError):
             dev.fsync(fd)
         assert verdicts == [LOCAL_REJECT]
+
+
+class StrayRequest(EvilBehavior):
+    """Sends the gate one extra request, built by make(op, accessor), on its first op."""
+
+    def __init__(self, make):
+        self.make = make
+        self.replies = None
+
+    def after_engine(self, op, accessor, twin):
+        if self.replies is None:
+            self.replies = accessor.channel.meta_call(self.make(op, accessor))
+
+
+class TestChannelFraming:
+    def test_stray_write_fragment_does_not_wedge_the_gate(self):
+        # One full-length META_WRITE_REQ chunk is not a whole message. The op
+        # that sent it diverges, and the ops after it must not pay for it.
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        chunk = wire.FRAG_HEADER.pack(0) + bytes(wire.FRAG_CHUNK_MAX)
+        system.twin.behavior = StrayRequest(
+            lambda op, acc: [wire.Frame(wire.FrameKind.META_WRITE_REQ, op.seq, chunk)]
+        )
+        with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
+            dev.open("hostile", OpFlag.CREATE)
+        for i in range(3):
+            fd = dev.open("f%d" % i, OpFlag.CREATE)
+            dev.write(fd, b"h" * 5000)
+            dev.fsync(fd)
+            dev.close(fd)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    @pytest.mark.parametrize("case", ["mixed-kinds", "foreign-seq", "short-read", "long-read"])
+    def test_malformed_metadata_request_is_rejected(self, case):
+        def make(op, acc):
+            # Block 0 written back as it reads: harmless if the gate took it.
+            frames = wire.fragment_message(
+                wire.FrameKind.META_WRITE_REQ, op.seq, bytes(4) + acc.read_meta(0)
+            )
+            if case == "mixed-kinds":
+                return [frames[0], replace(frames[1], kind=wire.FrameKind.META_READ_REQ)]
+            if case == "foreign-seq":
+                return [replace(f, seq=op.seq + 1) for f in frames]
+            body = b"\x00\x00" if case == "short-read" else bytes(5)
+            return wire.fragment_message(wire.FrameKind.META_READ_REQ, op.seq, body)
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        evil = system.twin.behavior = StrayRequest(make)
+        pre = dev.store.digest()
+        with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
+            dev.open("f", OpFlag.CREATE)
+        assert [f.kind for f in evil.replies] == [wire.FrameKind.REJECT]
+        assert dev.metrics.rejects_served == 1
+        assert dev.store.digest() == pre
+
+    def test_trace_of_65_frames_is_local_reject(self):
+        class LongTrace(EvilBehavior):
+            sent = 0
+
+            def on_outcome(self, op, outcome):
+                # A well-formed trace, one frame longer than a message may be.
+                pad = wire.MESSAGE_FRAMES_MAX * wire.FRAG_CHUNK_MAX // 5
+                outcome.trace = list(outcome.trace) + [R(0)] * pad
+                return outcome
+
+            def on_frames(self, op, frames, twin):
+                self.sent = len(frames)
+                return frames
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        evil = system.twin.behavior = LongTrace()
+        pre = dev.store.digest()
+        with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
+            dev.open("f", OpFlag.CREATE)
+        assert evil.sent == wire.MESSAGE_FRAMES_MAX + 1
+        assert dev.store.digest() == pre
 
 
 class TestHostileReplicaResponses:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -153,6 +154,28 @@ class TestProfiles:
         )
         assert untrusted["taint_clean"] and trusted["taint_clean"]
         assert untrusted["elapsed_s"] < trusted["elapsed_s"]
+
+
+def test_channel_frames_of_a_robot_run_are_pinned(monkeypatch):
+    # Every frame the channel taps see, bytes and order, is part of the
+    # protocol: a change to how frames cross must leave this digest as it is.
+    digest = hashlib.sha256()
+    count = [0]
+    build = harness.build_system
+
+    def tap(raw):
+        digest.update(raw)
+        count[0] += 1
+
+    def tapped(**kw):
+        system = build(**kw)
+        system.device.channel.taps.append(tap)
+        return system
+
+    monkeypatch.setattr(harness, "build_system", tapped)
+    harness.run_workload("robot", seed=0)
+    assert count[0] == 277
+    assert digest.hexdigest() == "4968b05447b8f6dba03a56f67a3dc45c7451fe0619910b52fad4642662074f9e"
 
 
 class TestAttackInjection:

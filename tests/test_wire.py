@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -195,25 +196,28 @@ class TestFrames:
         raw = wire.encode_frame(frame)
         assert raw[11 + 5 :] == bytes(4096 - 16)
 
-    def test_mailbox_fifo(self):
-        box = wire.FrameMailbox()
-        a = wire.encode_frame(wire.Frame(wire.FrameKind.TRACE, 1, b"\x00\x00a"))
-        b = wire.encode_frame(wire.Frame(wire.FrameKind.TRACE, 2, b"\x00\x00b"))
-        box.send(a)
-        box.send(b)
-        assert box.recv() == a
-        assert box.recv() == b
+    def test_message_ends_at_its_first_short_chunk(self):
+        frames = wire.fragment_message(wire.FrameKind.TRACE, 1, bytes(5000))
+        with pytest.raises(wire.DecodeError):
+            wire.reassemble_message(frames + wire.fragment_message(wire.FrameKind.TRACE, 1, b""))
+        full = wire.Frame(wire.FrameKind.TRACE, 1, wire.FRAG_HEADER.pack(0) + bytes(wire.FRAG_CHUNK_MAX))
+        with pytest.raises(wire.DecodeError):
+            wire.reassemble_message([full])
+        with pytest.raises(wire.DecodeError):
+            wire.reassemble_message([])
 
-    def test_mailbox_rejects_non_frame_sizes(self):
-        box = wire.FrameMailbox()
-        with pytest.raises(wire.LengthMismatch):
-            box.send(b"tiny")
-
-    def test_closed_mailbox(self):
-        box = wire.FrameMailbox()
-        box.closed = True
-        with pytest.raises(wire.ChannelClosed):
-            box.send(bytes(4096))
+    def test_accept_message_takes_one_whole_message_of_one_op(self):
+        kind = wire.FrameKind.TRACE
+        frames = wire.fragment_message(kind, 7, bytes(9000))
+        assert wire.accept_message(frames, kind, 7) == bytes(9000)
+        with pytest.raises(wire.DecodeError):
+            wire.accept_message(frames, kind, 8)
+        with pytest.raises(wire.DecodeError):
+            wire.accept_message(frames[:1] + [replace(frames[1], kind=wire.FrameKind.REJECT)], kind, 7)
+        longest = wire.MESSAGE_FRAMES_MAX * wire.FRAG_CHUNK_MAX - 1
+        assert len(wire.accept_message(wire.fragment_message(kind, 7, bytes(longest)), kind, 7)) == longest
+        with pytest.raises(wire.DecodeError):
+            wire.accept_message(wire.fragment_message(kind, 7, bytes(longest + 1)), kind, 7)
 
 
 class TestNetCodec:
@@ -259,6 +263,30 @@ class TestNetCodec:
         raw = wire.encode_stencil_delta([(4, 2, ()), (5, cls, ())])
         with pytest.raises(wire.DecodeError, match="stencil class"):
             wire.decode_stencil_delta(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=200), st.lists(st.binary(max_size=40), max_size=3))
+def test_decoders_refuse_arbitrary_bytes_with_decode_error(raw, payloads):
+    """A decoder given bytes from an untrusted party raises DecodeError or nothing."""
+    frame = raw.ljust(wire.FRAME_SIZE, b"\x00")
+    calls = [
+        lambda: wire.decode_frame(raw),
+        lambda: wire.decode_frame(frame),
+        lambda: wire.reassemble_message([wire.Frame(wire.FrameKind.TRACE, 0, p) for p in payloads]),
+        lambda: wire.decode_fileop(raw),
+        lambda: wire.decode_trace(raw),
+        lambda: wire.decode_net(raw),
+        lambda: wire.decode_hello(raw),
+        lambda: wire.decode_stencil_delta(raw),
+        lambda: wire.decode_error(raw),
+    ]
+    calls += [lambda op=op: wire.decode_outcome(op, raw) for op in OpCode]
+    for call in calls:
+        try:
+            call()
+        except wire.DecodeError:
+            pass
 
 
 def _protocol_vectors():
