@@ -5,8 +5,9 @@ cache and block store. Cache misses are delegated to two filesystem twins:
 the untrusted local engine behind the stencil-gated channel, and the
 metadata-only cloud replica. Only operations both twins agree on survive;
 everything executed speculatively from local advice is checkpointed and
-rolled back on dissension. Writes, closes and reopens of a validated path
-are asynchronous (the client never waits for the network), reads are
+rolled back on dissension. Writes, closes and opens of a validated path
+(creating or truncating ones too) are asynchronous (the client never waits
+for the network), reads are
 synchronous unless the fd was opened with the UNTRUSTED flag, and fstat is
 always synchronous.
 """
@@ -102,10 +103,14 @@ CLOUD_REJECT = "cloud_reject"
 class Verdict:
     kind: str
     divergence: int | None = None
+    detail: str | None = None  # why the replica refused, from its ERROR reply
 
     @property
     def is_match(self) -> bool:
         return self.kind == MATCH
+
+    def __str__(self) -> str:
+        return self.kind if self.detail is None else "%s (%s)" % (self.kind, self.detail)
 
 
 def verify_traces(local, cloud) -> Verdict:
@@ -590,7 +595,8 @@ class DeviceCore:
         if expect.kind == "hello":
             self._handle_hello_ack(kind, body)
         elif expect.kind == "commit" and kind != wire.NetKind.ACK:
-            raise DeviceError("replica refused final commit for seq %d" % seq)
+            reason = _refusal(kind, body) or kind.name
+            raise DeviceError("replica refused final commit for seq %d: %s" % (seq, reason))
         elif expect.kind == "op" and expect.pending.verdict is None:
             # A resolved op was rolled back behind an earlier failure. An
             # ABORT needs no answer: it cascades and takes a seq never sent.
@@ -824,7 +830,7 @@ class DeviceCore:
                 delta, _ = wire.decode_stencil_delta(body, offset)
         except wire.DecodeError:
             self.metrics.mismatches += 1
-            self._fail_pending(pending, Verdict(CLOUD_REJECT), None)
+            self._fail_pending(pending, Verdict(CLOUD_REJECT, detail=_refusal(kind, body)), None)
             return
         pending.cloud = cloud
         verdict = self._judge(pending, cloud, ok)
@@ -887,8 +893,10 @@ class DeviceCore:
         op = pending.op
         if op.op == OpCode.OPEN:
             if op.flags & OpFlag.TRUNC:
+                # An op delegated before the truncate may have memoized a
+                # block of the old file at its own verdict. Pages cached since
+                # the open was accepted hold the new file and stay.
                 self.memo.invalidate_file(cloud.inode)
-                self.cache.drop_file(cloud.inode)
             # twinfs never unlinks or renames, so the binding never changes.
             self.memo.put(op.name_tokens, cloud.inode)
             return
@@ -1083,7 +1091,8 @@ class DeviceCore:
             return self._open_offline(path, tokens, flags)
         fd = self._alloc_fd()
         op = FileOp(OpCode.OPEN, fd, flags, 0, tokens)
-        inode = None if flags & (OpFlag.CREATE | OpFlag.TRUNC) else self.memo.get(tokens)
+        truncating = bool(flags & OpFlag.TRUNC)
+        inode = self.memo.get(tokens)
         if inode is None:
             pending = self._delegate(op, None, None, 0)
         else:
@@ -1097,21 +1106,33 @@ class DeviceCore:
                 and local.status == Status.OK
                 and local.inode == inode
                 and not pending.local_violation
+                and not (truncating and local.size)
             ):
-                self.file_sizes[inode] = self._inode_size(inode)
+                if truncating:
+                    self._drop_truncated(inode)
+                else:
+                    self.file_sizes[inode] = self._inode_size(inode)
                 return fd
             del self.fds[fd]
         self._drain_through(pending)
         if not pending.verdict.is_match:
-            raise VerificationFailedError("open diverged: %s" % pending.verdict.kind)
+            raise VerificationFailedError("open diverged: %s" % pending.verdict)
         if pending.error is not None:
             _raise_status(pending.error)
         cloud = pending.cloud
         self.fds[fd] = FdEntry(
             inode=cloud.inode, pos=0, twin_pos=0, flags=flags, tokens=tokens
         )
+        if truncating:
+            self._drop_truncated(cloud.inode)
         self.file_sizes[cloud.inode] = cloud.size
         return fd
+
+    def _drop_truncated(self, inode: int) -> None:
+        """Forget the blocks and pages of a file an accepted TRUNC open emptied."""
+        self.memo.invalidate_file(inode)
+        self.cache.drop_file(inode)
+        self.file_sizes[inode] = 0
 
     def _open_offline(self, path: str, tokens, flags: int) -> int:
         if flags & (OpFlag.CREATE | OpFlag.TRUNC):
@@ -1159,7 +1180,7 @@ class DeviceCore:
             return data, UNTRUSTED
         self._drain_through(pending)
         if not pending.verdict.is_match:
-            raise VerificationFailedError("read diverged: %s" % pending.verdict.kind)
+            raise VerificationFailedError("read diverged: %s" % pending.verdict)
         if pending.error is not None:
             _raise_status(pending.error)
         cloud = pending.cloud
@@ -1276,7 +1297,7 @@ class DeviceCore:
         pending = self._delegate(op, fd, entry.inode, entry.pos)
         self._drain_through(pending)
         if not pending.verdict.is_match:
-            raise VerificationFailedError("fstat diverged: %s" % pending.verdict.kind)
+            raise VerificationFailedError("fstat diverged: %s" % pending.verdict)
         if pending.error is not None:
             _raise_status(pending.error)
         self.file_sizes[entry.inode] = pending.cloud.size
@@ -1482,6 +1503,18 @@ class DeviceCore:
     def _memoize_evicted(self, key, entry: CacheEntry) -> None:
         if entry.block is not None and entry.trust == TRUSTED and not entry.dirty:
             self.memo.put(key, entry.block)
+
+
+def _refusal(kind: wire.NetKind, body: bytes) -> str | None:
+    """The code and message of a replica's ERROR reply; None for any other
+    reply, or for an ERROR body that does not decode."""
+    if kind != wire.NetKind.ERROR:
+        return None
+    try:
+        code, message = wire.decode_error(body)
+    except wire.DecodeError:
+        return None
+    return "replica error %d: %s" % (code, message)
 
 
 def _covers(ranges, start: int, end: int) -> bool:

@@ -456,14 +456,10 @@ class Engine:
                         return idx
         return -1
 
-    def _bit_set(self, start_block: int, index: int, value: bool) -> None:
+    def _bit_set(self, start_block: int, index: int) -> None:
         bid = start_block + index // BITS_PER_BLOCK
-        off = (index % BITS_PER_BLOCK) // 8
         raw = bytearray(self.acc.read_meta(bid))
-        if value:
-            raw[off] |= 1 << (index % 8)
-        else:
-            raw[off] &= ~(1 << (index % 8))
+        raw[(index % BITS_PER_BLOCK) // 8] |= 1 << (index % 8)
         self.acc.write_meta(bid, bytes(raw))
 
     def free_block_count(self) -> int:
@@ -486,11 +482,20 @@ class Engine:
         idx = self._bit_scan(self.sb.bitmap_block, self.sb.bitmap_blocks, self.sb.total_blocks)
         if idx < 0:
             raise NoSpace()
-        self._bit_set(self.sb.bitmap_block, idx, True)
+        self._bit_set(self.sb.bitmap_block, idx)
         return idx
 
-    def free_block(self, block_id: int) -> None:
-        self._bit_set(self.sb.bitmap_block, block_id, False)
+    def free_blocks(self, block_ids) -> None:
+        """Clear the bits of `block_ids`: one read and one write per bitmap block."""
+        by_block: dict[int, list[int]] = {}
+        for bid in block_ids:
+            bmb = self.sb.bitmap_block + bid // BITS_PER_BLOCK
+            by_block.setdefault(bmb, []).append(bid % BITS_PER_BLOCK)
+        for bmb, bits in by_block.items():
+            raw = bytearray(self.acc.read_meta(bmb))
+            for bit in bits:
+                raw[bit // 8] &= ~(1 << (bit % 8))
+            self.acc.write_meta(bmb, bytes(raw))
 
     def allocate_inode(self) -> int:
         idx = self._bit_scan(
@@ -498,7 +503,7 @@ class Engine:
         )
         if idx < 0:
             raise NoSpace()
-        self._bit_set(self.sb.inode_bitmap_block, idx, True)
+        self._bit_set(self.sb.inode_bitmap_block, idx)
         return idx
 
     # -- directories ----------------------------------------------------
@@ -641,9 +646,7 @@ class Engine:
         return index
 
     def _truncate(self, index: int, inode: Inode) -> None:
-        for bid in inode.direct:
-            if bid:
-                self.free_block(bid)
+        self.free_blocks(bid for bid in inode.direct if bid)
         self._write_inode(index, Inode(mode=inode.mode))
 
     def _op_close(self, op: FileOp) -> OpOutcome:

@@ -93,7 +93,10 @@ class Frame:
 def encode_frame(frame: Frame) -> bytes:
     if len(frame.payload) > FRAME_PAYLOAD_MAX:
         raise LengthMismatch("payload exceeds %d bytes" % FRAME_PAYLOAD_MAX)
-    head = FRAME_HEADER.pack(frame.kind, frame.seq, len(frame.payload))
+    try:
+        head = FRAME_HEADER.pack(frame.kind, frame.seq, len(frame.payload))
+    except struct.error as exc:  # a kind or seq the header cannot hold
+        raise DecodeError("frame header out of range: %s" % exc)
     return head + frame.payload + bytes(FRAME_SIZE - len(head) - len(frame.payload))
 
 

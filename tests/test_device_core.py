@@ -19,6 +19,7 @@ from twinfs.device_core import (
     TRUSTED,
     UNTRUSTED,
     VerificationFailedError,
+    Verdict,
     verify_traces,
 )
 from twinfs.harness import build_system
@@ -333,7 +334,7 @@ class TestPipelinedClose:
         dev.close(fd)  # the CLOSE is in flight; its verdict comes later
         system.twin.behavior = EvilBehavior()
         with pytest.raises(VerificationFailedError):
-            dev.open("f", OpFlag.CREATE)
+            dev.open("g", OpFlag.CREATE)  # a new path: the open waits
         fd = dev.open("f")
         assert dev.fstat(fd) == 5000
         dev.close(fd)
@@ -397,6 +398,13 @@ class OtherInodeOnOpen(EvilBehavior):
         return outcome
 
 
+class SizeOnTruncOpen(EvilBehavior):
+    def on_outcome(self, op, outcome):
+        if op.op == OpCode.OPEN and op.flags & OpFlag.TRUNC:
+            outcome.size = 7
+        return outcome
+
+
 def _memoized_file(system):
     """Create "f" with 5,000 bytes and close it: its OPEN is then validated."""
     dev = system.device
@@ -419,12 +427,23 @@ class TestPipelinedOpen:
         dev.close(fd)
 
     @pytest.mark.parametrize("flags", [OpFlag.CREATE, OpFlag.TRUNC])
-    def test_create_and_trunc_opens_wait(self, flags):
+    def test_memoized_create_and_trunc_opens_do_not_wait(self, flags):
         system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
         dev = system.device
         _memoized_file(system)
         start = time.monotonic()
-        dev.open("f", flags)
+        fd = dev.open("f", flags)
+        assert time.monotonic() - start < 0.040  # less than one delay
+        assert OpCode.OPEN in [p.op.op for p in dev.pending]
+        assert dev.fstat(fd) == (0 if flags & OpFlag.TRUNC else 5000)
+        assert not dev.pending
+
+    def test_create_of_a_new_path_waits(self):
+        system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
+        dev = system.device
+        _memoized_file(system)
+        start = time.monotonic()
+        dev.open("g", OpFlag.CREATE)
         assert time.monotonic() - start >= 0.040
         assert not dev.pending
 
@@ -454,6 +473,54 @@ class TestPipelinedOpen:
         fd = dev.open("f")
         assert OpCode.OPEN in [p.op.op for p in dev.pending]
         assert dev.fstat(fd) == 0
+
+    def test_truncating_open_forgets_blocks_memoized_by_ops_before_it(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        fd = dev.open("f")
+        dev.write(fd, b"o" * 3 * BLOCK_SIZE)
+        dev.close(fd)
+        fd = dev.open("f", OpFlag.TRUNC)
+        assert [p.op.op for p in dev.pending][-3:] == [OpCode.WRITE, OpCode.CLOSE, OpCode.OPEN]
+        dev.write(fd, b"n" * 40)  # inline: no block for a verdict to memoize
+        dev.fsync(fd)  # the WRITE of "o" memoizes its blocks at its verdict
+        dev.cache.clear_all()
+        dev.lseek(fd, 0)
+        assert dev.read(fd, 3 * BLOCK_SIZE) == (b"n" * 40, TRUSTED)
+        dev.close(fd)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_pages_written_after_a_truncating_open_stay_cached_after_its_verdict(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        fd = dev.open("f", OpFlag.TRUNC)
+        inode = dev.fds[fd].inode
+        dev.write(fd, b"t" * 5000)
+        assert OpCode.OPEN in [p.op.op for p in dev.pending]
+        dev.fsync(fd)
+        assert {(inode, 0), (inode, 1)} <= set(dev.cache.entries)
+        sent = dev.metrics.fileops_sent
+        dev.lseek(fd, 0)
+        assert dev.read(fd, 5000) == (b"t" * 5000, TRUSTED)
+        assert dev.metrics.fileops_sent == sent
+
+    def test_trunc_open_whose_twin_reports_a_size_waits_for_its_verdict(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        dev.drain_all()
+        pre = dev.store.digest()
+        system.twin.behavior = SizeOnTruncOpen()
+        with pytest.raises(VerificationFailedError, match="mismatch"):
+            dev.open("f", OpFlag.TRUNC)
+        assert not dev.pending
+        assert dev.store.digest() == pre
+        system.twin.behavior = EvilBehavior()
+        fd = dev.open("f")
+        assert dev.fstat(fd) == 5000
 
     def test_open_that_diverges_fails_the_next_fsync_on_its_fd(self):
         system = build_system(total_blocks=256, inode_count=32)
@@ -487,22 +554,23 @@ class TestPipelinedOpen:
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
     def test_twin_naming_another_inode_fails_open_at_once(self):
-        system = build_system(total_blocks=256, inode_count=32)
-        dev = system.device
-        _memoized_file(system)
-        dev.drain_all()
-        pre = dev.store.digest()
-        system.twin.behavior = OtherInodeOnOpen()
-        with pytest.raises(VerificationFailedError):
-            dev.open("f")
-        assert dev.store.digest() == pre
-        assert not dev.fds
-        system.twin.behavior = EvilBehavior()
-        fd = dev.open("f")
-        assert dev.fstat(fd) == 5000
-        dev.close(fd)
-        dev.shutdown()
-        assert dev.device_metadata_digest() == system.session.durable_digest()
+        for flags in (0, OpFlag.TRUNC):
+            system = build_system(total_blocks=256, inode_count=32)
+            dev = system.device
+            _memoized_file(system)
+            dev.drain_all()
+            pre = dev.store.digest()
+            system.twin.behavior = OtherInodeOnOpen()
+            with pytest.raises(VerificationFailedError):
+                dev.open("f", flags)
+            assert dev.store.digest() == pre
+            assert not dev.fds
+            system.twin.behavior = EvilBehavior()
+            fd = dev.open("f")
+            assert dev.fstat(fd) == 5000
+            dev.close(fd)
+            dev.shutdown()
+            assert dev.device_metadata_digest() == system.session.durable_digest()
 
     def test_write_that_diverges_after_its_close_fails_an_fsync_on_another_fd(self):
         system = build_system(total_blocks=256, inode_count=32)
@@ -925,6 +993,24 @@ class TestChannelFraming:
         assert dev.metrics.rejects_served == 1
         assert dev.store.digest() == pre
 
+    @pytest.mark.parametrize("header", [{"seq": -1}, {"seq": 2**64}, {"kind": 256}])
+    def test_trace_frame_header_out_of_range_is_local_reject(self, header):
+        class BadHeader(EvilBehavior):
+            def on_frames(self, op, frames, twin):
+                return [replace(f, **header) for f in frames]
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        pre = dev.store.digest()
+        system.twin.behavior = BadHeader()
+        with pytest.raises(VerificationFailedError, match=LOCAL_REJECT):
+            dev.open("x", OpFlag.CREATE)
+        assert dev.store.digest() == pre
+        system.twin.behavior = EvilBehavior()
+        dev.close(dev.open("x", OpFlag.CREATE))
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
     def test_trace_of_65_frames_is_local_reject(self):
         class LongTrace(EvilBehavior):
             sent = 0
@@ -1021,6 +1107,45 @@ class TestHostileReplicaResponses:
         with pytest.raises(VerificationFailedError):
             dev.fsync(fd)
         assert dev.metrics.mismatches >= 1
+
+    def test_replica_refusal_reports_its_code_and_message(self):
+        from twinfs import replica
+        from twinfs.blockstore import BlockStore
+        from twinfs.device_core import CLOUD_REJECT, DeviceError
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+        refuse = {"kind": None, "body": None}
+
+        def refusing(raw):
+            kind, seq, _ = wire.decode_net(raw)
+            if kind != refuse["kind"]:
+                return session.handle_message(raw)
+            return wire.encode_net(wire.NetKind.ERROR, seq, refuse["body"])
+
+        dev = DeviceCore(
+            BlockStore(256, dict(image.full_blocks)),
+            DelayedTransport(LoopbackTransport(refusing), 0),
+            LocalTwin(),
+            DeviceConfig(emergency_bytes=0),
+        )
+        fd = dev.open("f", OpFlag.CREATE)
+        refuse.update(kind=wire.NetKind.FILEOP, body=wire.encode_error(replica.ERR_UNKNOWN_TXN, "seq refused"))
+        with pytest.raises(VerificationFailedError, match=r"cloud_reject \(replica error 1: seq refused\)"):
+            dev.fstat(fd)
+        # A body that does not decode is still a plain refusal.
+        refuse["body"] = b"\x01"
+        dev.write(fd, b"r" * 100)
+        pending = dev.pending[-1]
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert pending.verdict == Verdict(CLOUD_REJECT)
+        refuse.update(kind=wire.NetKind.COMMIT, body=wire.encode_error(replica.ERR_BAD_MESSAGE, "no txn"))
+        dev.write(fd, b"c" * 100)
+        dev.fsync(fd)  # the group commit sends the COMMIT; its reply is read later
+        with pytest.raises(DeviceError, match="replica error 2: no txn"):
+            dev.drain_all()
 
 
     @staticmethod

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import twinfs
 from twinfs.blockstore import BLOCK_SIZE, BlockStore, ZERO_BLOCK
 from twinfs.device_core import CrashSignal, DeviceConfig, DeviceCore, FileDurability, MemoryDurability
-from twinfs.harness import build_system
+from twinfs.harness import CRASH_POINTS, build_system
 from twinfs.local_twin import LocalTwin
-from twinfs.minifs import OpFlag
+from twinfs.minifs import OpCode, OpFlag
 from twinfs.replica import ReplicaSession
 from twinfs.transport import DelayedTransport, LoopbackTransport
 
@@ -458,6 +458,59 @@ def test_crash_between_a_group_commits_store_save_and_its_commit_converges(tmp_p
     assert revived.device_metadata_digest() == replica.durable_digest()
     assert revived.fstat(revived.open("f")) == 0  # the write is gone on both sides
     replica.close()
+
+
+def _crash_with_a_truncate_in_flight(state_dir, point, nth):
+    """Cut at the nth `point` from a TRUNC open pipelined behind a CLOSE on,
+    with a write pipelined behind the open; True if the cut fired. Both
+    sides are then revived from their files and must agree."""
+    device_dir, replica_dir = os.path.join(state_dir, "device"), os.path.join(state_dir, "replica")
+    cut = {"armed": False, "left": nth}
+
+    def hook(p, seq):
+        if cut["armed"] and p == point:
+            cut["left"] -= 1
+            if cut["left"] < 0:
+                cut["armed"] = False
+                raise CrashSignal(p, seq)
+
+    system = build_system(
+        total_blocks=256, inode_count=32, emergency_bytes=0, crash_hook=hook,
+        durability=FileDurability(device_dir), replica_state_dir=replica_dir,
+    )
+    dev = system.device
+    dev.persist()
+    fd = dev.open("f", OpFlag.CREATE)
+    dev.write(fd, filled(1) * 3)
+    dev.fsync(fd)
+    dev.close(fd)
+    cut["armed"] = True
+    try:
+        fd = dev.open("f", OpFlag.TRUNC)
+        assert [p.op.op for p in dev.pending] == [OpCode.CLOSE, OpCode.OPEN]
+        dev.write(fd, filled(2))
+        dev.fsync(fd)
+        dev.close(fd)
+        dev.shutdown()
+    except CrashSignal:
+        fired = True
+    else:
+        fired = False
+    system.session.close()
+    revived, replica = _revive(device_dir, replica_dir)
+    assert revived.device_metadata_digest() == replica.durable_digest()
+    assert revived.fstat(revived.open("f")) in (0, BLOCK_SIZE, 3 * BLOCK_SIZE)
+    replica.close()
+    return fired
+
+
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_with_a_truncating_open_in_flight_converges(tmp_path, point):
+    # Every occurrence of the point from the TRUNC open on is cut once.
+    nth = 0
+    while _crash_with_a_truncate_in_flight(str(tmp_path / str(nth)), point, nth):
+        nth += 1
+    assert nth >= 1, "the crash point never fired"
 
 
 _DEVICE_CHILD = r"""

@@ -129,7 +129,7 @@ class TestAllocators:
         engine, _, _ = fresh_engine()
         first = engine.allocate_block()
         second = engine.allocate_block()
-        engine.free_block(first)
+        engine.free_blocks([first])
         assert engine.allocate_block() == first
         assert second == first + 1
 
@@ -151,7 +151,7 @@ class TestAllocators:
         for _ in range(40):
             if held and rng.random() < 0.4:
                 victim = held.pop(rng.randrange(len(held)))
-                engine.free_block(victim)
+                engine.free_blocks([victim])
                 continue
             bitmap = acc.read_meta(1)
             expect = None
@@ -162,6 +162,21 @@ class TestAllocators:
             got = engine.allocate_block()
             assert got == expect
             held.append(got)
+
+    def test_free_blocks_writes_each_bitmap_block_once(self):
+        engine, acc, result = fresh_engine(total=40000)  # two bitmap blocks
+        assert result.superblock.bitmap_blocks == 2
+        for bmb in (1, 2):
+            acc.write_meta(bmb, b"\xff" * BLOCK_SIZE)
+        writes = []
+        write_meta = acc.write_meta
+        acc.write_meta = lambda bid, data: (writes.append(bid), write_meta(bid, data))
+        freed = [9, 5, 32768 + 3, 7, 39999]
+        engine.free_blocks(freed)
+        assert sorted(writes) == [1, 2]
+        bitmap = acc.read_meta(1) + acc.read_meta(2)
+        clear = [i for i in range(40000) if not bitmap[i // 8] & (1 << (i % 8))]
+        assert clear == sorted(freed)
 
     def test_inode_allocation_first_fit(self):
         engine, _, _ = fresh_engine()
@@ -299,15 +314,19 @@ class TestExecFileop:
         assert inode.inline_len == 0 and inode.size == 140
 
     def test_trunc_frees_blocks(self):
-        engine, _, _ = fresh_engine()
+        engine, acc, result = fresh_engine()
         seq = SeqGen()
         run(engine, OpCode.OPEN, fd=0, flags=OpFlag.CREATE, tokens=[token("f")], seq_gen=seq)
         run(engine, OpCode.WRITE, fd=0, count=8192, seq_gen=seq)
         free_before = engine.free_block_count()
         run(engine, OpCode.CLOSE, fd=0, seq_gen=seq)
+        writes = []
+        write_meta = acc.write_meta
+        acc.write_meta = lambda bid, data: (writes.append(bid), write_meta(bid, data))
         out = run(engine, OpCode.OPEN, fd=1, flags=OpFlag.TRUNC, tokens=[token("f")], seq_gen=seq)
         assert out.size == 0
         assert engine.free_block_count() == free_before + 2
+        assert writes.count(result.superblock.bitmap_block) == 1  # both bits in one write
 
     def test_fstat_and_close(self):
         engine, _, _ = fresh_engine()

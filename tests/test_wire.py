@@ -176,6 +176,12 @@ class TestFrames:
         assert wire.reassemble_message(decoded) == blob
         assert all(f.seq == seq for f in decoded)
 
+    @pytest.mark.parametrize("header", [{"seq": -1}, {"seq": 2**64}, {"kind": 256}, {"kind": -1}])
+    def test_header_out_of_range_is_decode_error(self, header):
+        frame = wire.Frame(**{"kind": wire.FrameKind.TRACE, "seq": 0, "payload": b"", **header})
+        with pytest.raises(wire.DecodeError):
+            wire.encode_frame(frame)
+
     def test_block_response_spans_two_frames(self):
         frames = wire.fragment_message(wire.FrameKind.META_READ_RESP, 0, bytes(4096))
         assert len(frames) == 2
