@@ -235,6 +235,9 @@ class PendingOp:
     map_undo: dict[int, tuple] = field(default_factory=dict)
     verdict: Verdict | None = None
     error: Status | None = None
+    # A truncating open of the file was accepted behind this op, so its
+    # pages and blocks are the old file's: its verdict marks neither.
+    truncated: bool = False
 
 
 @dataclass(eq=False)  # _hello finds its own record by identity
@@ -849,7 +852,8 @@ class DeviceCore:
             # Twins agree the op fails. Any metadata they wrote before failing
             # is identical on both sides, so the transaction still commits;
             # only the client payload never made it to storage.
-            self._taint_pages(pending)
+            if not pending.truncated:
+                self._taint_pages(pending)
             pending.error = cloud.status
             self._record_fd_error(pending, cloud.status)
             if pending.file_inode is not None:
@@ -864,7 +868,7 @@ class DeviceCore:
             self._memo_update(pending, cloud)
             if pending.dirtied:
                 self._refresh_stencils(delta, pending.marked)
-            for key in pending.pages:
+            for key in () if pending.truncated else pending.pages:
                 entry = self.cache.entries.get(key)
                 if entry is not None:
                     entry.trust = TRUSTED
@@ -892,15 +896,10 @@ class DeviceCore:
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
         op = pending.op
         if op.op == OpCode.OPEN:
-            if op.flags & OpFlag.TRUNC:
-                # An op delegated before the truncate may have memoized a
-                # block of the old file at its own verdict. Pages cached since
-                # the open was accepted hold the new file and stay.
-                self.memo.invalidate_file(cloud.inode)
             # twinfs never unlinks or renames, so the binding never changes.
             self.memo.put(op.name_tokens, cloud.inode)
             return
-        if op.op not in (OpCode.READ, OpCode.WRITE):
+        if op.op not in (OpCode.READ, OpCode.WRITE) or pending.truncated:
             return
         cursor = pending.pos_before
         for seg in cloud.segments:
@@ -975,6 +974,9 @@ class DeviceCore:
 
     def _taint_pages(self, pending: PendingOp) -> None:
         for key in pending.pages:
+            # A speculated page is clean and trusted, so an eviction before
+            # the verdict may have memoized the block the twin advised.
+            self.memo.entries.pop(key, None)
             entry = self.cache.entries.get(key)
             if entry is not None:
                 entry.trust = UNTRUSTED
@@ -1110,8 +1112,7 @@ class DeviceCore:
             ):
                 if truncating:
                     self._drop_truncated(inode)
-                else:
-                    self.file_sizes[inode] = self._inode_size(inode)
+                self.file_sizes[inode] = 0 if truncating else self._inode_size(inode)
                 return fd
             del self.fds[fd]
         self._drain_through(pending)
@@ -1129,10 +1130,15 @@ class DeviceCore:
         return fd
 
     def _drop_truncated(self, inode: int) -> None:
-        """Forget the blocks and pages of a file an accepted TRUNC open emptied."""
+        """Forget the blocks and pages of a file an accepted TRUNC open
+        emptied. An op on the file still in flight (delegated before the
+        open) speaks of the old file: its verdict must not bring them back.
+        """
         self.memo.invalidate_file(inode)
         self.cache.drop_file(inode)
-        self.file_sizes[inode] = 0
+        for p in self.pending:
+            if p.file_inode == inode and p.op.op in (OpCode.READ, OpCode.WRITE):
+                p.truncated = True
 
     def _open_offline(self, path: str, tokens, flags: int) -> int:
         if flags & (OpFlag.CREATE | OpFlag.TRUNC):

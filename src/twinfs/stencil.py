@@ -56,9 +56,10 @@ class StencilMap:
     names every classified block and has no `before`). A map made by
     build_stencils or refresh also carries the owner index refresh works
     from: the geometry it was parsed with (`sb`), the blocks each inode
-    claims, the inodes claiming each block, and the offsets of the inodes
-    with inline file bytes in each table block. A map assembled from delta
-    entries has no index.
+    claims, the inodes claiming each block, the offsets of the inodes
+    with inline file bytes in each table block, and the bytes each table
+    block was last indexed from. A map assembled from delta entries has no
+    index.
     """
 
     total_blocks: int
@@ -71,6 +72,7 @@ class StencilMap:
     claims: dict[int, tuple[int, frozenset[int]]] = field(default_factory=dict)
     owners: dict[int, frozenset[int]] = field(default_factory=dict)
     inline: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    tables: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of_entries(cls, total_blocks: int, entries) -> "StencilMap":
@@ -183,16 +185,28 @@ def _reclassify(smap: StencilMap, dirtied, read) -> dict:
 
 
 def _index_table_block(smap: StencilMap, tbid: int, raw: bytes) -> set[int]:
-    """Update the owner index from one table block; return the blocks whose claims moved."""
+    """Update the owner index from one table block; return the blocks whose claims moved.
+
+    Only the inodes whose head bytes differ from the last indexing of the
+    block are parsed: a write rewrites one inode of the block.
+    """
     sb = smap.sb
     first = (tbid - sb.inode_table_start) * INODES_PER_BLOCK
+    raw = bytes(raw)
+    last = smap.tables.get(tbid)
+    smap.tables[tbid] = raw
     moved: set[int] = set()
-    inline = []
+    inline = set(smap.inline.get(tbid, ()))
+    head = _INODE_HEAD.size
     for index in range(first, min(first + INODES_PER_BLOCK, sb.inode_count)):
         off = (index - first) * INODE_SIZE
+        if last is not None and raw[off : off + head] == last[off : off + head]:
+            continue
         mode, inline_len, _, *direct = _INODE_HEAD.unpack_from(raw, off)
         if mode == MODE_FILE and inline_len:
-            inline.append(off)
+            inline.add(off)
+        else:
+            inline.discard(off)
         cls = _CLAIM_CLASS.get(mode)
         blocks = frozenset(b for b in direct if b) if cls is not None else frozenset()
         claim = (cls, blocks) if blocks else None
@@ -210,9 +224,12 @@ def _index_table_block(smap: StencilMap, tbid: int, raw: bytes) -> set[int]:
             smap.claims[index] = claim
         else:
             del smap.claims[index]
-        moved |= old_blocks | blocks
+        # A block claimed before and after keeps its class unless the
+        # claim's class changed.
+        same_class = old is not None and claim is not None and old[0] == claim[0]
+        moved |= old_blocks ^ blocks if same_class else old_blocks | blocks
     if inline:
-        smap.inline[tbid] = tuple(inline)
+        smap.inline[tbid] = tuple(sorted(inline))
     else:
         smap.inline.pop(tbid, None)
     return moved

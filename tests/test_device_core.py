@@ -186,6 +186,27 @@ class TestCacheAndMemo:
         fd = dev.open("f", OpFlag.TRUNC)
         assert not any(k[0] == inode for k in dev.memo.entries)
 
+    def test_page_evicted_before_a_diverging_verdict_leaves_no_mapping(self, system):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        g = dev.open("g", OpFlag.CREATE)
+        inode = dev.fds[fd].inode
+        system.twin.behavior = ExtraWriteIn(OpCode.WRITE)
+        dev.write(fd, b"x" * BLOCK_SIZE)  # speculated: its page is clean and trusted
+        dev.cache.clear_all()  # the eviction memoizes the advised block
+        assert (inode, 0) in dev.memo.entries
+        system.twin.behavior = EvilBehavior()
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert (inode, 0) not in dev.memo.entries
+        dev.write(g, b"G" * BLOCK_SIZE)  # takes the rolled-back block
+        dev.lseek(fd, 0)
+        dev.write(fd, b"n" * 40)
+        dev.fsync(fd)
+        dev.cache.clear_all()
+        dev.lseek(fd, 0)
+        assert dev.read(fd, 40) == (b"n" * 40, TRUSTED)
+
     def test_read_spanning_cached_and_memoized_pages(self, system):
         dev = system.device
         fd = dev.open("f", OpFlag.CREATE)
@@ -491,6 +512,55 @@ class TestPipelinedOpen:
         dev.close(fd)
         dev.shutdown()
         assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_write_before_a_truncating_open_memoizes_nothing_at_a_verdict_before_the_opens(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        g = dev.open("g", OpFlag.CREATE)  # a new path: waits
+        fd = dev.open("f")
+        dev.write(fd, b"o" * 3 * BLOCK_SIZE)
+        old = dev.pending[-1]
+        dev.close(fd)
+        fd = dev.open("f", OpFlag.TRUNC)
+        trunc = dev.pending[-1]
+        dev.write(fd, b"n" * 40)  # inline: eviction memoizes no block for it
+        while old.verdict is None:  # a full pipeline resolves one verdict per delegate
+            dev.write(g, b"g" * 16)
+        assert len(dev.pending) == MAX_IN_FLIGHT
+        assert old.verdict.is_match and trunc in dev.pending
+        dev.cache.clear_all()
+        dev.lseek(fd, 0)
+        assert dev.read(fd, 3 * BLOCK_SIZE) == (b"n" * 40, TRUSTED)
+        dev.close(fd)
+        dev.close(g)
+        dev.shutdown()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_read_before_a_truncating_open_trusts_no_page_at_a_verdict_before_the_opens(self):
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        _memoized_file(system)
+        g = dev.open("g", OpFlag.CREATE)
+        u = dev.open("f", OpFlag.UNTRUSTED)
+        inode = dev.fds[u].inode
+        dev.cache.clear_all()
+        dev.memo.invalidate_file(inode)
+        assert dev.read(u, 5000) == (b"m" * 5000, UNTRUSTED)
+        old = dev.pending[-1]
+        fd = dev.open("f", OpFlag.TRUNC)
+        trunc = dev.pending[-1]
+        dev.write(fd, b"n" * 40)
+        dev.cache.clear_all()
+        dev.lseek(u, 0)
+        assert dev.read(u, 40) == (b"n" * 40, UNTRUSTED)  # a new READ, not yet judged
+        new = dev.pending[-1]
+        while old.verdict is None:
+            dev.write(g, b"g" * 16)
+        assert old.verdict.is_match and trunc in dev.pending and new in dev.pending
+        assert dev.cache.entries[(inode, 0)].trust == UNTRUSTED
+        assert dev.select_validate(u) == "AllMatch"
+        assert dev.cache.entries[(inode, 0)].trust == TRUSTED
 
     def test_pages_written_after_a_truncating_open_stay_cached_after_its_verdict(self):
         system = build_system(total_blocks=256, inode_count=32)

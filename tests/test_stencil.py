@@ -384,6 +384,27 @@ class TestIncrementalRefresh:
             assert smap.changed == moved
             assert smap.before == {b: prev.entry(b) for b in moved}
 
+    def test_blocks_an_inode_keeps_follow_its_new_mode(self):
+        result = mkfs(128, 64)
+        sb = result.superblock
+        blocks = {bid: bytearray(data) for bid, data in result.full_blocks.items()}
+        tbid, off = sb.inode_location(5)
+        claimed = [sb.data_start, sb.data_start + 1]
+
+        def rewrite(mode, direct):
+            head = _INODE_HEAD.pack(mode, 0, 0, *(direct + [0] * DIRECT_COUNT)[:DIRECT_COUNT])
+            blocks[tbid][off : off + len(head)] = head
+
+        def read(bid):
+            return bytes(blocks.get(bid, ZERO_BLOCK))
+
+        rewrite(MODE_FILE, claimed)
+        smap = build_stencils(read)
+        rewrite(MODE_DIR, claimed + [sb.data_start + 2])
+        smap = refresh(smap, {tbid}, read)
+        assert [smap.classify(b) for b in claimed] == [CLASS_METADATA] * 2
+        assert smap.classes == build_stencils(read).classes
+
     def test_refresh_reads_only_the_dirtied_table_block(self):
         result = mkfs(262144, 4096)
         blocks = dict(result.full_blocks)
