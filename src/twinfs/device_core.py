@@ -362,13 +362,13 @@ class FileDurability:
             kind, rest = body[:1], body[1:]
             if kind == self.BLOCKS:
                 blocks = journal.unpack_blocks(rest)
-                if blocks is None or any(bid >= store.total_blocks for bid in blocks):
+                if any(bid >= store.total_blocks for bid in blocks):
                     return False
                 held.update(blocks)
                 return None  # kept only once a STATE record commits it
             try:
                 meta = json.loads(rest) if kind == self.STATE else None
-            except ValueError:
+            except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
                 return False
             if not isinstance(meta, dict):
                 return False
@@ -477,7 +477,6 @@ class DeviceCore:
         self._orphan_failed = False
         self._expected: deque[Expect] = deque()
         self.offline_queue: list[tuple] = []
-        self._flushing = False
         self.gate = MetadataGate(self)
         self.twin = twin
         self.channel = SyncChannel(self.gate, twin)
@@ -589,33 +588,40 @@ class DeviceCore:
             self._consume_next()
 
     def _consume_next(self) -> None:
+        """Take the oldest awaited reply: a TRACE_RESP to a FILEOP, an ACK to the
+        rest, of the request's seq. Any other is a refusal: a verdict or a DeviceError."""
         expect = self._expected.popleft()
+        want = wire.NetKind.TRACE_RESP if expect.kind == "op" else wire.NetKind.ACK
         try:
             kind, seq, body = wire.decode_net(self.transport.recv())
         except wire.DecodeError:
-            # An undecodable reply answers the request as a refusal would.
-            kind, seq, body = wire.NetKind.ERROR, expect.seq, b""
-        if expect.kind == "hello":
-            self._handle_hello_ack(kind, body)
-        elif expect.kind == "commit" and kind != wire.NetKind.ACK:
-            reason = _refusal(kind, body) or kind.name
-            raise DeviceError("replica refused final commit for seq %d: %s" % (seq, reason))
-        elif expect.kind == "op" and expect.pending.verdict is None:
-            # A resolved op was rolled back behind an earlier failure. An
-            # ABORT needs no answer: it cascades and takes a seq never sent.
-            self._handle_trace_resp(expect.pending, kind, seq, body)
+            kind, seq, body = None, None, b""
+        accepted = (kind, seq) == (want, expect.seq)
+        if expect.kind == "op":
+            if expect.pending.verdict is None:
+                # A resolved op was rolled back behind an earlier failure. An
+                # ABORT needs no answer: it cascades and takes a seq never sent.
+                self._handle_trace_resp(expect.pending, body if accepted else None, _refusal(kind, body))
+        elif not accepted:
+            reason = _refusal(kind, body) or "%s reply for seq %s" % (getattr(kind, "name", "malformed"), seq)
+            raise DeviceError("replica refused %s of seq %d: %s" % (expect.kind, expect.seq, reason))
+        elif expect.kind == "hello":
+            self._handle_hello_ack(body)
         if self._validated and not self.pending:
             self._group_commit()
 
-    def _handle_hello_ack(self, kind: wire.NetKind, body: bytes) -> None:
-        if kind != wire.NetKind.ACK:
-            raise DeviceError("hello rejected by replica")
+    def _handle_hello_ack(self, body: bytes) -> None:
+        """Take the replica's 32-byte digest and, in cloud-stencil mode, the
+        stencil map dump after it: the body holds these and nothing else."""
+        cloud = self.config.stencil_source == "cloud"
+        try:
+            entries, end = wire.decode_stencil_delta(body, 32) if cloud else ((), 32)
+            if len(body) != end:
+                raise wire.DecodeError("%d bytes, expected %d" % (len(body), end))
+        except wire.DecodeError as exc:
+            raise DeviceError("malformed stencil map or digest in hello ack: %s" % exc)
         self.last_replica_digest = body[:32].hex()
-        if self.config.stencil_source == "cloud" and len(body) > 32:
-            try:
-                entries, _ = wire.decode_stencil_delta(body, 32)
-            except wire.DecodeError as exc:
-                raise DeviceError("malformed stencil map in hello ack: %s" % exc)
+        if cloud:
             self.smap = stencil.StencilMap.of_entries(self.store.total_blocks, entries)
 
     def fetch_replica_digest(self) -> str:
@@ -642,7 +648,7 @@ class DeviceCore:
             self.drain_ops()  # the group commit runs once nothing is in flight
         while len(self.pending) >= MAX_IN_FLIGHT:
             self._consume_next()
-        if self.offline_queue and not self._flushing:
+        if self.offline_queue:
             self._flush_offline_queue()
         seq = self.next_seq
         self.next_seq += 1
@@ -823,17 +829,20 @@ class DeviceCore:
             return Verdict(MISMATCH, -1)
         return verdict
 
-    def _handle_trace_resp(self, pending: PendingOp, kind: wire.NetKind, seq: int, body: bytes) -> None:
+    def _handle_trace_resp(self, pending: PendingOp, body: bytes | None, refusal: str | None) -> None:
+        """Judge an op on its TRACE_RESP body, None for a refusal `refusal` may explain."""
         try:
-            if kind == wire.NetKind.ERROR or seq != pending.seq:
+            if body is None:
                 raise wire.DecodeError("replica refused seq %d" % pending.seq)
             cloud, ok, offset = wire.decode_outcome_at(pending.op.op, body)
             delta = None
             if self.config.stencil_source == "cloud" and offset < len(body):
-                delta, _ = wire.decode_stencil_delta(body, offset)
+                delta, offset = wire.decode_stencil_delta(body, offset)
+            if offset != len(body):
+                raise wire.DecodeError("trailing bytes after the outcome")
         except wire.DecodeError:
             self.metrics.mismatches += 1
-            self._fail_pending(pending, Verdict(CLOUD_REJECT, detail=_refusal(kind, body)), None)
+            self._fail_pending(pending, Verdict(CLOUD_REJECT, detail=refusal), None)
             return
         pending.cloud = cloud
         verdict = self._judge(pending, cloud, ok)
@@ -1476,24 +1485,20 @@ class DeviceCore:
             self._flush_offline_queue()
 
     def _flush_offline_queue(self) -> None:
-        self._flushing = True
-        try:
-            queued = self.offline_queue
-            self.offline_queue = []
-            for item in queued:
-                if item[0] == "write":
-                    _, fd, pos, length = item
-                    entry = self.fds.get(fd)
-                    if entry is None:
-                        continue
-                    saved = entry.pos
-                    entry.pos = pos
-                    self._delegate_write(fd, entry, length)
-                    entry.pos = max(saved, pos + length)
-                elif item[0] == "close" and item[1] in self.fds:
-                    self._delegate_close(item[1])
-        finally:
-            self._flushing = False
+        # Only offline calls queue, so the delegations below find it empty.
+        queued, self.offline_queue = self.offline_queue, []
+        for item in queued:
+            if item[0] == "write":
+                _, fd, pos, length = item
+                entry = self.fds.get(fd)
+                if entry is None:
+                    continue
+                saved = entry.pos
+                entry.pos = pos
+                self._delegate_write(fd, entry, length)
+                entry.pos = max(saved, pos + length)
+            elif item[0] == "close" and item[1] in self.fds:
+                self._delegate_close(item[1])
 
     def shutdown(self) -> None:
         if not self.offline:
@@ -1511,16 +1516,15 @@ class DeviceCore:
             self.memo.put(key, entry.block)
 
 
-def _refusal(kind: wire.NetKind, body: bytes) -> str | None:
+def _refusal(kind: wire.NetKind | None, body: bytes) -> str | None:
     """The code and message of a replica's ERROR reply; None for any other
     reply, or for an ERROR body that does not decode."""
     if kind != wire.NetKind.ERROR:
         return None
     try:
-        code, message = wire.decode_error(body)
+        return "replica error %d: %s" % wire.decode_error(body)
     except wire.DecodeError:
         return None
-    return "replica error %d: %s" % (code, message)
 
 
 def _covers(ranges, start: int, end: int) -> bool:

@@ -15,6 +15,7 @@ import struct
 import zlib
 
 from twinfs.blockstore import BLOCK_SIZE, fsync_dir
+from twinfs.wire import DecodeError
 
 HEAD = struct.Struct("<II")  # body length, CRC-32 of the body
 _BLOCK_ID = struct.Struct("<I")
@@ -26,10 +27,10 @@ def pack_blocks(blocks) -> bytes:
     return b"".join(_BLOCK_ID.pack(bid) + data for bid, data in blocks)
 
 
-def unpack_blocks(raw: bytes) -> dict[int, bytes] | None:
-    """The blocks of a run of entries, or None if it ends in a partial one."""
+def unpack_blocks(raw: bytes) -> dict[int, bytes]:
+    """The blocks of a run of entries; DecodeError if it ends in a partial one."""
     if len(raw) % _ENTRY:
-        return None
+        raise DecodeError("%d bytes of block entries" % len(raw))
     return {
         _BLOCK_ID.unpack_from(raw, at)[0]: raw[at + _BLOCK_ID.size : at + _ENTRY]
         for at in range(0, len(raw), _ENTRY)
@@ -66,9 +67,10 @@ def rewrite(path: str, bodies, sync: bool = False) -> int:
 def replay(path: str, parse, required: bool = False) -> int | None:
     """Hand each record body to `parse` in order, until a record is torn
     (shorter than its header or its length), fails its CRC, or `parse`
-    returns False for it. Truncate the log there and return its length.
-    A record for which `parse` returns None is kept only if a later record
-    is kept, so an uncommitted tail is truncated too.
+    refuses it by returning False or raising DecodeError. Truncate the log
+    there and return its length. A record for which `parse` returns None is
+    kept only if a later record is kept, so an uncommitted tail is truncated
+    too.
 
     With `required` the first record must be whole and accepted; otherwise
     the log is left as it was and the result is None.
@@ -78,7 +80,11 @@ def replay(path: str, parse, required: bool = False) -> int | None:
         while len(head := f.read(HEAD.size)) == HEAD.size:
             length, crc = HEAD.unpack(head)
             body = f.read(length)
-            if len(body) < length or zlib.crc32(body) != crc or (kept := parse(body)) is False:
+            try:
+                kept = len(body) == length and zlib.crc32(body) == crc and parse(body)
+            except DecodeError:
+                kept = False
+            if kept is False:
                 break
             if kept:
                 good = f.tell()

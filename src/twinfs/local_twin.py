@@ -82,7 +82,7 @@ class ChannelAccessor(MetadataAccessor):
             raise AccessorRejected("block %d" % block_id)
         data = wire.reassemble_message(frames)
         if len(data) != BLOCK_SIZE:
-            raise wire.LengthMismatch("metadata block is %d bytes" % len(data))
+            raise wire.DecodeError("metadata block is %d bytes" % len(data))
         return data
 
     def write_meta(self, block_id: int, data: bytes) -> None:

@@ -130,13 +130,13 @@ class ReplicaSession:
             if inode.mode == MODE_FILE and any(inode.inline):
                 raise BadImageError("metadata image carries inline file bytes")
 
+    @wire.decoder
     def _replay(self, body: bytes) -> bool:
-        """Apply one journal record at load; False for one that does not parse."""
-        if len(body) < _J_HEAD.size:
-            return False
+        """Apply one journal record at load; False or DecodeError for one that
+        does not parse or does not follow the records before it."""
         kind, seq = _J_HEAD.unpack_from(body)
         blocks = journal.unpack_blocks(body[_J_HEAD.size :])
-        if blocks is None or (kind == _J_CHECKPOINT) != (self.sb is None):
+        if (kind == _J_CHECKPOINT) != (self.sb is None) or (kind == _J_STAGED and seq != self.expected_seq):
             return False
         if kind == _J_CHECKPOINT:
             self.sb = Superblock.unpack(blocks.get(0, ZERO_BLOCK))

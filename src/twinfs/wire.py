@@ -8,6 +8,7 @@ Byte layouts are documented with golden vectors in PROTOCOL.md.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,29 +39,34 @@ _ENTRY = struct.Struct("<BI")  # request kind, block
 _SEGMENT = struct.Struct("<BIHH")  # flags, target, offset, length
 _PROMOTE = struct.Struct("<IHI")  # inode, inline length, destination block
 _NET_HEAD = struct.Struct("<IBQ")  # length prefix, kind, seq
+_U8 = struct.Struct("<B")  # a single byte, read so that a short buffer is a struct.error
+READ_CHUNK_MAX = 64 * 1024  # the most bytes one sock_read call is asked for
 
 OUTCOME_OK_TO_COMMIT = 0x01
 SEG_FRESH = 0x80
 
 
 class DecodeError(Exception):
-    pass
-
-
-class LengthMismatch(DecodeError):
-    pass
+    """Bytes from an untrusted party that do not follow their layout."""
 
 
 class ChannelClosed(Exception):
     pass
 
 
-def _member(enum_cls, value: int):
-    """enum_cls(value), raising DecodeError for a value the enum lacks."""
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise DecodeError("unknown %s %d" % (enum_cls.__name__, value))
+def decoder(fn):
+    """The one conversion point for untrusted bytes. fn reads with struct and the
+    enums only, so a short buffer or an out-of-range field leaves here as a
+    DecodeError; fn itself checks a slice that comes up short and trailing bytes."""
+
+    @functools.wraps(fn)
+    def read(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (struct.error, ValueError) as exc:
+            raise DecodeError("%s: %s" % (fn.__name__, exc)) from None
+
+    return read
 
 
 class FrameKind(IntEnum):
@@ -90,24 +96,23 @@ class Frame:
     payload: bytes
 
 
+@decoder  # the twin hands over Frame objects: a kind or seq the header cannot hold
 def encode_frame(frame: Frame) -> bytes:
     if len(frame.payload) > FRAME_PAYLOAD_MAX:
-        raise LengthMismatch("payload exceeds %d bytes" % FRAME_PAYLOAD_MAX)
-    try:
-        head = FRAME_HEADER.pack(frame.kind, frame.seq, len(frame.payload))
-    except struct.error as exc:  # a kind or seq the header cannot hold
-        raise DecodeError("frame header out of range: %s" % exc)
+        raise DecodeError("payload exceeds %d bytes" % FRAME_PAYLOAD_MAX)
+    head = FRAME_HEADER.pack(frame.kind, frame.seq, len(frame.payload))
     return head + frame.payload + bytes(FRAME_SIZE - len(head) - len(frame.payload))
 
 
+@decoder
 def decode_frame(raw: bytes) -> Frame:
     if len(raw) != FRAME_SIZE:
-        raise LengthMismatch("frame must be exactly %d bytes" % FRAME_SIZE)
+        raise DecodeError("frame must be exactly %d bytes" % FRAME_SIZE)
     kind, seq, length = FRAME_HEADER.unpack_from(raw, 0)
     if length > FRAME_PAYLOAD_MAX:
         raise DecodeError("dishonest payload length %d" % length)
     body = bytes(raw[FRAME_HEADER.size : FRAME_HEADER.size + length])
-    return Frame(_member(FrameKind, kind), seq, body)
+    return Frame(FrameKind(kind), seq, body)
 
 
 def fragment_message(kind: FrameKind, seq: int, blob: bytes) -> list[Frame]:
@@ -127,6 +132,7 @@ def fragment_message(kind: FrameKind, seq: int, blob: bytes) -> list[Frame]:
             return frames
 
 
+@decoder
 def reassemble_message(frames) -> bytes:
     """Join the chunks of one message, which ends at its first short chunk."""
     if not frames:
@@ -134,8 +140,6 @@ def reassemble_message(frames) -> bytes:
     parts = []
     expect = 0
     for i, frame in enumerate(frames):
-        if len(frame.payload) < FRAG_HEADER.size:
-            raise DecodeError("fragment missing offset header")
         (offset,) = FRAG_HEADER.unpack_from(frame.payload, 0)
         if offset != expect & 0xFFFF:
             raise DecodeError("fragment offset %d, expected %d" % (offset, expect))
@@ -172,28 +176,23 @@ def encode_fileop(op: FileOp) -> bytes:
     return body
 
 
+@decoder
 def decode_fileop(raw: bytes, seq: int = 0) -> FileOp:
-    if len(raw) < _FILEOP.size:
-        raise LengthMismatch("fileop body truncated")
     opcode, fd, flags, count, name = _FILEOP.unpack_from(raw, 0)
-    opcode = _member(OpCode, opcode)
+    opcode = OpCode(opcode)
     tokens: tuple[bytes, ...] = ()
     offset = _FILEOP.size
     if opcode == OpCode.OPEN:
-        if len(raw) < offset + 1:
-            raise LengthMismatch("open body missing path extension")
-        n_extra = raw[offset]
+        (n_extra,) = _U8.unpack_from(raw, offset)
         offset += 1
-        need = offset + n_extra * TOKEN_LEN
-        if len(raw) < need:
-            raise LengthMismatch("open body truncated path tokens")
-        tokens = (bytes(name),) + tuple(
+        tokens = (name,) + tuple(
             bytes(raw[offset + i * TOKEN_LEN : offset + (i + 1) * TOKEN_LEN])
             for i in range(n_extra)
         )
-        offset = need
+        offset += n_extra * TOKEN_LEN
+    # One check for both: path tokens that came up short, and trailing bytes.
     if len(raw) != offset:
-        raise LengthMismatch("trailing bytes after fileop body")
+        raise DecodeError("fileop body of %d bytes, expected %d" % (len(raw), offset))
     return FileOp(op=opcode, fd=fd, flags=flags, count=count, name_tokens=tokens, seq=seq)
 
 
@@ -208,19 +207,16 @@ def encode_trace(trace, ok_to_commit: bool = False, status: Status = Status.OK) 
     return b"".join(parts)
 
 
+@decoder
 def decode_trace(raw: bytes) -> tuple[list[BlockRequest], bool, Status]:
-    if len(raw) < _TRACE_HEAD.size:
-        raise LengthMismatch("trace body truncated")
     flags, status, count = _TRACE_HEAD.unpack_from(raw, 0)
     offset = _TRACE_HEAD.size
-    if len(raw) < offset + count * _ENTRY.size:
-        raise LengthMismatch("trace entries truncated")
     trace = []
     for _ in range(count):
         kind, block = _ENTRY.unpack_from(raw, offset)
-        trace.append(BlockRequest(_member(ReqKind, kind), block))
+        trace.append(BlockRequest(ReqKind(kind), block))
         offset += _ENTRY.size
-    return trace, bool(flags & OUTCOME_OK_TO_COMMIT), _member(Status, status)
+    return trace, bool(flags & OUTCOME_OK_TO_COMMIT), Status(status)
 
 
 def _encode_segments(segments) -> bytes:
@@ -237,7 +233,7 @@ def _decode_segments(raw: bytes, offset: int) -> tuple[tuple[Segment, ...], int]
     segments = []
     for _ in range(count):
         flags, target, seg_off, length = _SEGMENT.unpack_from(raw, offset)
-        kind = _member(SegKind, flags & 0x7F)
+        kind = SegKind(flags & 0x7F)
         segments.append(Segment(kind, target, seg_off, length, bool(flags & SEG_FRESH)))
         offset += _SEGMENT.size
     return tuple(segments), offset
@@ -268,44 +264,42 @@ def encode_outcome(op_code: OpCode, outcome: OpOutcome, ok_to_commit: bool = Fal
     return body
 
 
+@decoder
 def decode_outcome_at(op_code: OpCode, raw: bytes) -> tuple[OpOutcome, bool, int]:
     """Decode an outcome, returning the offset where trailing data begins."""
     trace, ok, status = decode_trace(raw)
     offset = _TRACE_HEAD.size + len(trace) * _ENTRY.size
     outcome = OpOutcome(status=status, trace=trace)
-    try:
-        if op_code == OpCode.OPEN:
-            outcome.inode, outcome.size = struct.unpack_from("<IQ", raw, offset)
-            offset += 12
-        elif op_code == OpCode.READ:
-            outcome.segments, offset = _decode_segments(raw, offset)
-            outcome.position, outcome.size = struct.unpack_from("<QQ", raw, offset)
-            offset += 16
-        elif op_code == OpCode.WRITE:
-            outcome.segments, offset = _decode_segments(raw, offset)
-            has_promote = raw[offset]
-            offset += 1
-            if has_promote:
-                ino, length, dst = _PROMOTE.unpack_from(raw, offset)
-                outcome.promote = Promote(ino, length, dst)
-                offset += _PROMOTE.size
-            outcome.position, outcome.size = struct.unpack_from("<QQ", raw, offset)
-            offset += 16
-        elif op_code == OpCode.LSEEK:
-            (outcome.position,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-        elif op_code == OpCode.FSTAT:
-            (outcome.size,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-    except (struct.error, IndexError):
-        raise LengthMismatch("outcome body truncated")
+    if op_code == OpCode.OPEN:
+        outcome.inode, outcome.size = struct.unpack_from("<IQ", raw, offset)
+        offset += 12
+    elif op_code == OpCode.READ:
+        outcome.segments, offset = _decode_segments(raw, offset)
+        outcome.position, outcome.size = struct.unpack_from("<QQ", raw, offset)
+        offset += 16
+    elif op_code == OpCode.WRITE:
+        outcome.segments, offset = _decode_segments(raw, offset)
+        (has_promote,) = _U8.unpack_from(raw, offset)
+        offset += 1
+        if has_promote:
+            ino, length, dst = _PROMOTE.unpack_from(raw, offset)
+            outcome.promote = Promote(ino, length, dst)
+            offset += _PROMOTE.size
+        outcome.position, outcome.size = struct.unpack_from("<QQ", raw, offset)
+        offset += 16
+    elif op_code == OpCode.LSEEK:
+        (outcome.position,) = struct.unpack_from("<Q", raw, offset)
+        offset += 8
+    elif op_code == OpCode.FSTAT:
+        (outcome.size,) = struct.unpack_from("<Q", raw, offset)
+        offset += 8
     return outcome, ok, offset
 
 
 def decode_outcome(op_code: OpCode, raw: bytes) -> tuple[OpOutcome, bool]:
     outcome, ok, offset = decode_outcome_at(op_code, raw)
     if offset != len(raw):
-        raise LengthMismatch("trailing bytes after outcome body")
+        raise DecodeError("trailing bytes after outcome body")
     return outcome, ok
 
 
@@ -316,17 +310,17 @@ def encode_net(kind: NetKind, seq: int, body: bytes = b"") -> bytes:
     return _NET_HEAD.pack(1 + 8 + len(body), kind, seq) + body
 
 
+@decoder
 def decode_net(raw: bytes) -> tuple[NetKind, int, bytes]:
-    if len(raw) < _NET_HEAD.size:
-        raise LengthMismatch("net message truncated")
     length, kind, seq = _NET_HEAD.unpack_from(raw, 0)
     if length != len(raw) - 4:
-        raise LengthMismatch("net length prefix %d does not match body" % length)
-    return _member(NetKind, kind), seq, bytes(raw[_NET_HEAD.size :])
+        raise DecodeError("net length prefix %d does not match body" % length)
+    return NetKind(kind), seq, bytes(raw[_NET_HEAD.size :])
 
 
 def read_net_message(sock_read) -> bytes:
-    """Read one length-prefixed message via sock_read(n) -> bytes."""
+    """Read one length-prefixed message via sock_read(n) -> bytes, asking
+    for at most READ_CHUNK_MAX bytes per call whatever the prefix claims."""
     prefix = _read_exact(sock_read, 4)
     (length,) = struct.unpack("<I", prefix)
     if length < 9:
@@ -336,13 +330,12 @@ def read_net_message(sock_read) -> bytes:
 
 def _read_exact(sock_read, n: int) -> bytes:
     parts = []
-    remaining = n
-    while remaining:
-        chunk = sock_read(remaining)
+    while n:
+        chunk = sock_read(min(n, READ_CHUNK_MAX))
         if not chunk:
             raise ChannelClosed("peer closed mid-message")
         parts.append(chunk)
-        remaining -= len(chunk)
+        n -= len(chunk)
     return b"".join(parts)
 
 
@@ -356,9 +349,8 @@ def encode_hello(device_id: bytes, cloud_stencils: bool = False) -> bytes:
     return _HELLO.pack(HELLO_VERSION, flags, device_id)
 
 
+@decoder
 def decode_hello(body: bytes) -> tuple[int, bool, bytes]:
-    if len(body) != _HELLO.size:
-        raise LengthMismatch("hello body must be %d bytes" % _HELLO.size)
     version, flags, device_id = _HELLO.unpack(body)
     return version, bool(flags & HELLO_FLAG_CLOUD_STENCILS), device_id
 
@@ -379,24 +371,22 @@ def encode_stencil_delta(entries) -> bytes:
     return b"".join(parts)
 
 
+@decoder
 def decode_stencil_delta(raw: bytes, offset: int = 0):
-    try:
-        (count,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        entries = []
-        for _ in range(count):
-            bid, cls, nranges = struct.unpack_from("<IBB", raw, offset)
-            if cls > STENCIL_CLASS_MAX:
-                raise DecodeError("unknown stencil class %d" % cls)
-            offset += 6
-            ranges = []
-            for _ in range(nranges):
-                start, end = struct.unpack_from("<HH", raw, offset)
-                ranges.append((start, end))
-                offset += 4
-            entries.append((bid, cls, tuple(ranges)))
-    except struct.error:
-        raise LengthMismatch("stencil delta truncated")
+    (count,) = struct.unpack_from("<H", raw, offset)
+    offset += 2
+    entries = []
+    for _ in range(count):
+        bid, cls, nranges = struct.unpack_from("<IBB", raw, offset)
+        if cls > STENCIL_CLASS_MAX:
+            raise DecodeError("unknown stencil class %d" % cls)
+        offset += 6
+        ranges = []
+        for _ in range(nranges):
+            start, end = struct.unpack_from("<HH", raw, offset)
+            ranges.append((start, end))
+            offset += 4
+        entries.append((bid, cls, tuple(ranges)))
     return entries, offset
 
 
@@ -404,8 +394,7 @@ def encode_error(code: int, message: str) -> bytes:
     return struct.pack("<I", code) + message.encode("utf-8")
 
 
+@decoder
 def decode_error(body: bytes) -> tuple[int, str]:
-    if len(body) < 4:
-        raise LengthMismatch("error body truncated")
     (code,) = struct.unpack_from("<I", body, 0)
     return code, body[4:].decode("utf-8", "replace")

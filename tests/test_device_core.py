@@ -1217,6 +1217,97 @@ class TestHostileReplicaResponses:
         with pytest.raises(DeviceError, match="replica error 2: no txn"):
             dev.drain_all()
 
+    @staticmethod
+    def _device_over(respond, stencil_source="device"):
+        """A device whose replica answers through respond(session, raw)."""
+        from twinfs.blockstore import BlockStore
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+        return DeviceCore(
+            BlockStore(256, dict(image.full_blocks)),
+            DelayedTransport(LoopbackTransport(lambda raw: respond(session, raw)), 0),
+            LocalTwin(),
+            DeviceConfig(emergency_bytes=0, stencil_source=stencil_source),
+        )
+
+    @pytest.mark.parametrize("other", ["kind", "seq"])
+    def test_reply_other_than_the_awaited_one_is_a_refusal(self, other):
+        """A TRACE_RESP's body sent as an ACK, or for the next seq, is a refusal."""
+
+        def renamed(session, raw):
+            kind, seq, body = wire.decode_net(session.handle_message(raw))
+            if kind == wire.NetKind.TRACE_RESP:
+                kind, seq = (wire.NetKind.ACK, seq) if other == "kind" else (kind, seq + 1)
+            return wire.encode_net(kind, seq, body)
+
+        dev = self._device_over(renamed)
+        with pytest.raises(VerificationFailedError, match="cloud_reject"):
+            dev.fsync(dev.open("f", OpFlag.CREATE))
+        assert (dev.metrics.matches, dev.metrics.mismatches) == (0, 1)
+        assert dev.device_metadata_digest() == dev.fetch_replica_digest()
+
+    # A bare digest is the whole ack in device-stencil mode.
+    @pytest.mark.parametrize("stencil_source, damage", [
+        (source, damage) for source in ("device", "cloud")
+        for damage in ("empty", "digest-cut", "trailing-byte", "digest-only")
+        if (source, damage) != ("device", "digest-only")
+    ])
+    def test_hello_ack_is_the_digest_and_the_stencil_dump_only(self, stencil_source, damage):
+        from twinfs.device_core import DeviceError
+
+        damaged = {
+            "empty": lambda body: b"",
+            "digest-cut": lambda body: body[:31],
+            "trailing-byte": lambda body: body + b"\x00",
+            "digest-only": lambda body: body[:32],
+        }[damage]
+        armed = {"on": False}
+
+        def damaging(session, raw):
+            resp = session.handle_message(raw)
+            if not (armed["on"] and wire.decode_net(raw)[0] == wire.NetKind.HELLO):
+                return resp
+            kind, seq, body = wire.decode_net(resp)
+            return wire.encode_net(kind, seq, damaged(body))
+
+        dev = self._device_over(damaging, stencil_source)
+        digest = dev.fetch_replica_digest()
+        assert len(digest) == 64
+        armed["on"] = True
+        with pytest.raises(DeviceError, match="hello ack"):
+            dev.fetch_replica_digest()
+        assert dev.last_replica_digest == digest
+
+    def test_refused_abort_is_a_device_error(self, tmp_path):
+        """A device whose log was rolled back past the replica's last commit
+        asks it to abort a committed seq; the refusal ends recovery."""
+        import shutil
+
+        from twinfs.device_core import DeviceError, FileDurability
+
+        device_dir, old = tmp_path / "device", tmp_path / "old"
+        system = build_system(
+            total_blocks=256, inode_count=32, durability=FileDurability(str(device_dir))
+        )
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"a" * 100)
+        dev.fsync(fd)
+        shutil.copytree(device_dir, old)
+        dev.write(fd, b"b" * 100)
+        dev.fsync(fd)
+        dev.drain_all()
+        shutil.rmtree(device_dir)
+        shutil.copytree(old, device_dir)
+        transport = DelayedTransport(LoopbackTransport(system.session.handle_message), 0)
+        revived = DeviceCore.load(
+            FileDurability(str(device_dir)), transport, LocalTwin(), DeviceConfig(emergency_bytes=0)
+        )
+        with pytest.raises(DeviceError, match=r"refused abort of seq \d+: replica error 1: unknown txn"):
+            revived.reconnect_recover()
+
 
     @staticmethod
     def _cloud_device(image, transport):

@@ -9,7 +9,7 @@ import tempfile
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twinfs
@@ -157,7 +157,9 @@ def test_save_hands_over_only_the_changed_blocks():
     assert changed and changed <= set().union(*expected)
     assert sink.load_store() == after
 
-    # A device loaded from the sink has nothing to save yet.
+    # A device loaded from the sink has nothing to save yet. It shares the
+    # transport, so the old device first takes the replies it still awaits.
+    dev.drain_all()
     dev = DeviceCore.load(sink, dev.transport, LocalTwin(), DeviceConfig(emergency_bytes=0))
     dev._persist_store()
     assert sink.saves[-1] == set()
@@ -307,6 +309,31 @@ def test_record_with_a_valid_crc_and_a_bad_body_is_dropped(tmp_path, body):
     log.write_bytes(raw + _record(body) + _record(b'S{"total_blocks": 16}'))
     assert FileDurability(str(tmp_path)).load_store() == before
     assert log.stat().st_size == start
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=48),
+    st.builds(lambda kind, tail: kind + tail, st.sampled_from([b"B", b"S"]), st.binary(max_size=48)),
+))
+@example(b"S" + b"[" * 100_000)  # JSON nested past the parser's recursion limit
+def test_arbitrary_record_body_loads_the_save_before_it(body):
+    """A record whose CRC holds but whose body is no record the sink wrote is
+    refused: the sink loads the save from before it."""
+    try:
+        well_formed_state = body[:1] == b"S" and isinstance(json.loads(body[1:]), dict)
+    except (ValueError, RecursionError):
+        well_formed_state = False
+    assume(not well_formed_state)  # a STATE record commits, as it should
+    with tempfile.TemporaryDirectory() as state:
+        sink = FileDurability(state)
+        _save(sink, {2: filled(1), 5: filled(2)})
+        _save(sink, {3: filled(3)})
+        before = sink.load_store(), sink.load_meta()
+        with open(os.path.join(state, "store.log"), "ab") as log:
+            log.write(_record(body))
+        sink = FileDurability(state)
+        assert (sink.load_store(), sink.load_meta()) == before
 
 
 def test_store_save_without_a_metadata_save_is_dropped(tmp_path):

@@ -1,8 +1,11 @@
 import hashlib
 import hmac
 import struct
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE
@@ -326,6 +329,33 @@ class TestJournalPersistence:
         assert (revived.expected_seq, revived.last_committed) == (2, 0)
         assert path.stat().st_size == end
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.builds(
+            lambda kind, seq, tail: struct.pack("<BQ", kind, seq) + tail,
+            st.integers(0, 255), st.integers(0, 2**64 - 1), st.binary(max_size=16),
+        ),
+    ))
+    @example(struct.pack("<BQ", 1, 0))  # STAGED of a committed seq
+    def test_arbitrary_record_body_loads_the_state_before_it(self, body):
+        """A record whose CRC holds but whose body is no record the replica
+        wrote is refused: the journal loads as it was before the record."""
+        kind, seq = struct.unpack_from("<BQ", body.ljust(9, b"\xff"))
+        # An empty STAGED record of the next seq is one an op without writes leaves.
+        assume(not (len(body) == 9 and kind == 1 and seq == 2))
+        with tempfile.TemporaryDirectory() as state:
+            session = fresh_session(state_dir=state)
+            session.replay_fileop(op_open(1, 0, "f"))
+            session.commit(1)
+
+            def fingerprint(s):
+                return s.durable_digest(), s.last_committed, s.expected_seq, s.staged, s.view
+
+            before = fingerprint(ReplicaSession.load(state))
+            journal.append(state + "/journal.bin", body)
+            assert fingerprint(ReplicaSession.load(state)) == before
+
     def test_journal_compacts_itself(self, tmp_path):
         state = str(tmp_path / "rep")
         session = fresh_session(state_dir=state)
@@ -495,6 +525,23 @@ class TestServer:
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
         finally:
             transport.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_huge_length_prefix_does_not_take_the_server_down(self):
+        import socket
+
+        server = ReplicaServer(("127.0.0.1", 0))
+        server.register_image(mkfs(64, 32).metadata_image)
+        server.serve_in_thread()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(b"\xff\xff\xff\xff")  # a 4 GiB message, then a close
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(b"\x05" * 16)))
+                kind, _, body = wire.decode_net(wire.read_net_message(sock.recv))
+            assert kind == wire.NetKind.ACK and len(body) == 32
+        finally:
             server.shutdown()
             server.server_close()
 

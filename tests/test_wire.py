@@ -1,3 +1,4 @@
+import ast
 import re
 import struct
 from dataclasses import replace
@@ -113,7 +114,7 @@ class TestFileOpCodec:
 
     def test_truncated_buffer(self):
         raw = wire.encode_fileop(FileOp(OpCode.READ, 1, 0, 10))
-        with pytest.raises(wire.LengthMismatch):
+        with pytest.raises(wire.DecodeError):
             wire.decode_fileop(raw[:-1])
 
     def test_unknown_op_byte(self):
@@ -156,7 +157,7 @@ class TestOutcomeCodec:
 
     def test_trailing_bytes_rejected(self):
         raw = wire.encode_outcome(OpCode.FSYNC, OpOutcome())
-        with pytest.raises(wire.LengthMismatch):
+        with pytest.raises(wire.DecodeError):
             wire.decode_outcome(OpCode.FSYNC, raw + b"x")
 
 
@@ -253,6 +254,22 @@ class TestNetCodec:
         assert wire.read_net_message(read) == messages[0]
         assert wire.read_net_message(read) == messages[1]
 
+    def test_stream_reader_asks_for_at_most_64_kib_per_call(self):
+        """A length prefix claims 4 GiB; the reader asks for it in bounded pieces."""
+        stream = b"\xff\xff\xff\xff" + bytes(3 * 64 * 1024 + 5)
+        cursor, asked = [0], []
+
+        def read(n):
+            asked.append(n)
+            out = stream[cursor[0] : cursor[0] + n]
+            cursor[0] += len(out)
+            return out
+
+        with pytest.raises(wire.ChannelClosed):
+            wire.read_net_message(read)
+        assert asked[0] == 4 and max(asked) == 64 * 1024
+        assert cursor[0] == len(stream)
+
     def test_hello_round_trip(self):
         body = wire.encode_hello(b"\x01" * 16, cloud_stencils=True)
         assert wire.decode_hello(body) == (wire.HELLO_VERSION, True, b"\x01" * 16)
@@ -272,11 +289,25 @@ class TestNetCodec:
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.binary(max_size=200), st.lists(st.binary(max_size=40), max_size=3))
-def test_decoders_refuse_arbitrary_bytes_with_decode_error(raw, payloads):
+@given(st.binary(max_size=200), st.lists(st.binary(max_size=40), max_size=3), st.integers(0, 210))
+def test_decoders_refuse_arbitrary_bytes_with_decode_error(raw, payloads, offset):
     """A decoder given bytes from an untrusted party raises DecodeError or nothing."""
     frame = raw.ljust(wire.FRAME_SIZE, b"\x00")
+
+    def read_stream():
+        rest = [raw]
+
+        def read(n):
+            out, rest[0] = rest[0][:n], rest[0][n:]
+            return out
+
+        try:
+            wire.decode_net(wire.read_net_message(read))
+        except wire.ChannelClosed:  # the peer sent raw and closed mid-message
+            pass
+
     calls = [
+        read_stream,
         lambda: wire.decode_frame(raw),
         lambda: wire.decode_frame(frame),
         lambda: wire.reassemble_message([wire.Frame(wire.FrameKind.TRACE, 0, p) for p in payloads]),
@@ -285,14 +316,58 @@ def test_decoders_refuse_arbitrary_bytes_with_decode_error(raw, payloads):
         lambda: wire.decode_net(raw),
         lambda: wire.decode_hello(raw),
         lambda: wire.decode_stencil_delta(raw),
+        lambda: wire.decode_stencil_delta(raw, offset),
         lambda: wire.decode_error(raw),
     ]
     calls += [lambda op=op: wire.decode_outcome(op, raw) for op in OpCode]
+    calls += [lambda op=op: wire.decode_outcome_at(op, raw) for op in OpCode]
     for call in calls:
         try:
             call()
         except wire.DecodeError:
             pass
+
+
+def _handlers(tree, skip=None):
+    """Every except handler in tree, outside any function named skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.ExceptHandler):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _catches(handler, names) -> bool:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(t is not None and ast.unparse(t) in names for t in types)
+
+
+def test_one_decode_error_type():
+    """DecodeError is the one decode-error type of src/twinfs: no LengthMismatch,
+    and struct.error or IndexError is handled only in wire.decoder, the one
+    point that turns a short or out-of-range read into a DecodeError."""
+    names = {"struct.error", "error", "IndexError"}
+    src = Path(wire.__file__).resolve().parent
+    strays = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        strays += [
+            "%s:%d class LengthMismatch" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "LengthMismatch"
+        ]
+        skip = "decoder" if path.name == "wire.py" else None
+        strays += [
+            "%s:%d except %s" % (path.name, h.lineno, ast.unparse(h.type))
+            for h in _handlers(tree, skip)
+            if _catches(h, names)
+        ]
+        if path.name == "wire.py":
+            assert any(_catches(h, names) for h in _handlers(tree)), "wire.decoder is gone"
+    assert strays == []
 
 
 def _protocol_vectors():
