@@ -9,7 +9,7 @@ rolled back on dissension. Writes, closes and opens of a validated path
 (creating or truncating ones too) are asynchronous (the client never waits
 for the network), reads are
 synchronous unless the fd was opened with the UNTRUSTED flag, and fstat is
-always synchronous.
+answered locally from the device's own size of the file.
 """
 
 from __future__ import annotations
@@ -1304,19 +1304,10 @@ class DeviceCore:
         return entry.pos
 
     def fstat(self, fd: int) -> int:
-        entry = self._fd(fd)
-        if self.offline:
-            raise OfflineError("fstat is synchronous and the device is disconnected")
-        self._realign_twins(fd, entry)
-        op = FileOp(OpCode.FSTAT, fd, 0, 0)
-        pending = self._delegate(op, fd, entry.inode, entry.pos)
-        self._drain_through(pending)
-        if not pending.verdict.is_match:
-            raise VerificationFailedError("fstat diverged: %s" % pending.verdict)
-        if pending.error is not None:
-            _raise_status(pending.error)
-        self.file_sizes[entry.inode] = pending.cloud.size
-        return pending.cloud.size
+        """The device is each file's only writer, so its own size answers:
+        validated, or as speculative as the writes in flight (whose failure
+        the next barrier reports)."""
+        return self.size_of(self._fd(fd).inode)
 
     def fsync(self, fd: int) -> None:
         entry = self._fd(fd)

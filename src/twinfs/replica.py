@@ -20,6 +20,8 @@ import threading
 from twinfs import journal, stencil, wire
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
 from twinfs.minifs import (
+    BadMagicError,
+    CorruptSuperblockError,
     Engine,
     FdState,
     INODE_SIZE,
@@ -139,7 +141,10 @@ class ReplicaSession:
         if (kind == _J_CHECKPOINT) != (self.sb is None) or (kind == _J_STAGED and seq != self.expected_seq):
             return False
         if kind == _J_CHECKPOINT:
-            self.sb = Superblock.unpack(blocks.get(0, ZERO_BLOCK))
+            try:
+                self.sb = Superblock.unpack(blocks.get(0, ZERO_BLOCK))
+            except (BadMagicError, CorruptSuperblockError):
+                return False
             self.committed = blocks
             self.last_committed, self.expected_seq = seq, seq + 1
             self._checkpoint_bytes = journal.HEAD.size + len(body)

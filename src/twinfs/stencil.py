@@ -356,7 +356,10 @@ def metadata_digest(read, total_blocks: int | None = None) -> str:
     smap = build_stencils(read)
     total = total_blocks if total_blocks is not None else smap.total_blocks
     h = hashlib.sha256()
-    for bid in range(total):
+    # Only classified blocks can hold metadata bytes.
+    for bid in sorted(smap.classes):
+        if bid >= total:
+            break
         ranges = smap.metadata_ranges(bid)
         if not ranges:
             continue

@@ -58,7 +58,7 @@ def test_criterion_1_oracle_equivalence():
         assert elapsed < 60.0, "took %.1fs" % elapsed
 
 
-def _one_random_sequence(rng):
+def _one_random_sequence(rng, after_call=lambda dev, model, fd_map: None):
     system = build_system(total_blocks=4096, inode_count=128, seed=rng.randrange(1 << 30))
     dev = system.device
     model = FileModel()
@@ -93,11 +93,26 @@ def _one_random_sequence(rng):
         else:
             fd = rng.choice(list(fd_map))
             dev.fsync(fd)
+        after_call(dev, model, fd_map)
     for fd in list(fd_map):
         dev.close(fd)
         model.close(fd_map.pop(fd))
+        after_call(dev, model, fd_map)
     dev.shutdown()
     assert dev.device_metadata_digest() == system.session.durable_digest()
+
+
+def test_fstat_equals_the_oracle_after_every_call():
+    """Criterion 1's sequences, with the fstat of every open fd checked
+    against the reference file map after each call."""
+
+    def check(dev, model, fd_map):
+        for fd, model_fd in fd_map.items():
+            assert dev.fstat(fd) == model.fstat(model_fd)
+
+    rng = random.Random(20260808)
+    for _ in range(1000):
+        _one_random_sequence(rng, check)
 
 
 def test_criterion_2_attack_detection():
@@ -231,10 +246,18 @@ def test_criterion_5_memoization_rpc_elimination():
 
 
 def test_criterion_6_async_write_delay_hiding():
-    """At 50 ms delay: p95 write < 5 ms, p50 fstat >= 50 ms, pending fsync >= 50 ms."""
+    """At 50 ms delay: p95 write < 5 ms, p50 fstat < 5 ms, p50 trusted cold
+    read >= 50 ms, pending fsync >= 50 ms."""
     with criterion(6, "async writes hide the delay"):
         system = build_system(total_blocks=1024, inode_count=64, delay_ms=50.0, seed=6)
         dev = system.device
+        # A control file whose pages are neither cached nor memoized, so
+        # each trusted read of one of them must wait for the replica.
+        ctl = dev.open("ctl", OpFlag.CREATE)
+        dev.write(ctl, b"c" * 5 * BLOCK_SIZE)
+        dev.fsync(ctl)
+        dev.cache.drop_file(dev.fds[ctl].inode)
+        dev.memo.invalidate_file(dev.fds[ctl].inode)
         fd = dev.open("wav", OpFlag.CREATE)
         write_lat = []
         for i in range(40):
@@ -250,6 +273,13 @@ def test_criterion_6_async_write_delay_hiding():
             start = time.monotonic()
             dev.fstat(fd)
             fstat_lat.append(time.monotonic() - start)
+        read_lat = []
+        for page in range(5):
+            dev.lseek(ctl, page * BLOCK_SIZE)
+            start = time.monotonic()
+            data, trust = dev.read(ctl, BLOCK_SIZE)
+            read_lat.append(time.monotonic() - start)
+            assert data == b"c" * BLOCK_SIZE and trust == TRUSTED
         # the delay is anchored at the write's send; measure the round trip
         start = time.monotonic()
         dev.write(fd, b"z" * 1024)
@@ -257,10 +287,13 @@ def test_criterion_6_async_write_delay_hiding():
         fsync_s = time.monotonic() - start
         write_lat.sort()
         fstat_lat.sort()
+        read_lat.sort()
         p95_write = write_lat[int(len(write_lat) * 0.95)]
         p50_fstat = fstat_lat[len(fstat_lat) // 2]
+        p50_read = read_lat[len(read_lat) // 2]
         assert p95_write < 0.005, "p95 write %.2f ms" % (p95_write * 1e3)
-        assert p50_fstat >= 0.050, "p50 fstat %.2f ms" % (p50_fstat * 1e3)
+        assert p50_fstat < 0.005, "p50 fstat %.2f ms" % (p50_fstat * 1e3)
+        assert p50_read >= 0.050, "p50 trusted cold read %.2f ms" % (p50_read * 1e3)
         assert fsync_s >= 0.050, "fsync with pending validation %.2f ms" % (fsync_s * 1e3)
 
 

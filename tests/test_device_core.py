@@ -291,8 +291,21 @@ class TestTwinReadCache:
         dev.close(fd)
 
 
+def _count_replies(dev):
+    """Wrap the device's transport so each reply it reads is counted."""
+    count = [0]
+    recv = dev.transport.recv
+
+    def counting():
+        count[0] += 1
+        return recv()
+
+    dev.transport.recv = counting
+    return count
+
+
 class TestAsyncWriteDelayHiding:
-    def test_write_fast_fstat_slow_under_delay(self):
+    def test_write_and_fstat_do_not_wait_under_delay(self):
         system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
         dev = system.device
         fd = dev.open("f", OpFlag.CREATE)
@@ -300,24 +313,30 @@ class TestAsyncWriteDelayHiding:
         dev.write(fd, b"d" * 4096)
         write_s = time.monotonic() - start
         start = time.monotonic()
-        dev.fstat(fd)
+        assert dev.fstat(fd) == 4096
         fstat_s = time.monotonic() - start
+        assert [p.op.op for p in dev.pending] == [OpCode.WRITE]  # still in flight
         assert write_s < 0.005
-        assert fstat_s >= 0.040
+        assert fstat_s < 0.040  # less than one delay
 
     def test_fsync_waits_for_outstanding_validations(self):
-        system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
-        dev = system.device
-        fd = dev.open("f", OpFlag.CREATE)
-        # The simulated delay is anchored at the write's send, so measure the
-        # round trip from before the write: fsync may not return earlier.
-        start = time.monotonic()
-        dev.write(fd, b"d" * 4096)
-        mid = time.monotonic()
-        dev.fsync(fd)
-        done = time.monotonic()
-        assert mid - start < 0.005  # the write itself never waited
-        assert done - start >= 0.040
+        write_s = []
+        for _ in range(5):
+            system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
+            dev = system.device
+            fd = dev.open("f", OpFlag.CREATE)
+            replies = _count_replies(dev)
+            # The simulated delay is anchored at the write's send, so measure the
+            # round trip from before the write: fsync may not return earlier.
+            start = time.monotonic()
+            dev.write(fd, b"d" * 4096)
+            mid = time.monotonic()
+            assert replies[0] == 0  # the write itself never waited for a reply
+            dev.fsync(fd)
+            done = time.monotonic()
+            assert done - start >= 0.040
+            write_s.append(mid - start)
+        assert sorted(write_s)[2] < 0.005  # the median write
 
     def test_pipelined_writes_share_the_delay(self):
         system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
@@ -343,7 +362,8 @@ class TestPipelinedClose:
         matches = dev.metrics.matches
         fd = dev.open("f")
         assert dev.fstat(fd) == 0
-        assert dev.metrics.matches == matches + 3  # the CLOSE, the OPEN, the FSTAT
+        dev.drain_ops()
+        assert dev.metrics.matches == matches + 2  # the CLOSE and the OPEN
 
     def test_close_that_diverges_fails_the_next_synchronous_call(self):
         system = build_system(total_blocks=256, inode_count=32)
@@ -456,8 +476,11 @@ class TestPipelinedOpen:
         fd = dev.open("f", flags)
         assert time.monotonic() - start < 0.040  # less than one delay
         assert OpCode.OPEN in [p.op.op for p in dev.pending]
-        assert dev.fstat(fd) == (0 if flags & OpFlag.TRUNC else 5000)
+        size = 0 if flags & OpFlag.TRUNC else 5000
+        assert dev.fstat(fd) == size
+        dev.drain_ops()
         assert not dev.pending
+        assert dev.fstat(fd) == size
 
     def test_create_of_a_new_path_waits(self):
         system = build_system(total_blocks=256, inode_count=32, delay_ms=40)
@@ -1203,7 +1226,7 @@ class TestHostileReplicaResponses:
         fd = dev.open("f", OpFlag.CREATE)
         refuse.update(kind=wire.NetKind.FILEOP, body=wire.encode_error(replica.ERR_UNKNOWN_TXN, "seq refused"))
         with pytest.raises(VerificationFailedError, match=r"cloud_reject \(replica error 1: seq refused\)"):
-            dev.fstat(fd)
+            dev.open("g", OpFlag.CREATE)  # a new path: the open waits for its reply
         # A body that does not decode is still a plain refusal.
         refuse["body"] = b"\x01"
         dev.write(fd, b"r" * 100)
@@ -1488,18 +1511,69 @@ class TestOffline:
         assert data == b"1" * 4096 + b"2" * 4096 and trust == TRUSTED
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
-    def test_fstat_offline_fails(self, system):
+    def test_fstat_offline_answers_locally(self, system):
         dev = system.device
         fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"1" * 100)
         system.transport.sever()
-        with pytest.raises(OfflineError):
-            dev.fstat(fd)
+        dev.write(fd, b"2" * 5000)
+        assert dev.fstat(fd) == 5100
+        system.transport.restore()
+        dev.reconnect_recover()
+        dev.fsync(fd)
+        assert dev.fstat(fd) == 5100
 
     def test_reconnect_with_nothing_pending_is_noop(self, system):
         dev = system.device
         system.transport.sever()
         system.transport.restore()
         dev.reconnect_recover()
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+
+class TestLocalFstat:
+    """fstat answers from the device's own size of the file: validated, or
+    as speculative as the writes in flight, whose failure the next barrier
+    reports."""
+
+    def test_fstat_makes_no_round_trip(self, system):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        replies = _count_replies(dev)
+        for in_flight in (False, True):
+            dev.write(fd, b"a" * 3000)
+            if not in_flight:
+                dev.fsync(fd)
+            pending = list(dev.pending)
+            assert bool(pending) == in_flight
+            rpcs, read = dev.metrics.rpc_total, replies[0]
+            assert dev.fstat(fd) == dev.fds[fd].pos
+            assert (dev.metrics.rpc_total, replies[0]) == (rpcs, read)
+            assert list(dev.pending) == pending
+
+    def test_agreed_failure_shows_at_the_next_fsync(self):
+        system = build_system(total_blocks=12, inode_count=32)  # 8 data blocks
+        dev = system.device
+        fd = dev.open("big", OpFlag.CREATE)
+        for i in range(10):
+            dev.write(fd, bytes([i]) * BLOCK_SIZE)
+        assert dev.fstat(fd) == 10 * BLOCK_SIZE  # the optimistic size
+        with pytest.raises(NoSpaceError):
+            dev.fsync(fd)
+        assert dev.fstat(fd) == 8 * BLOCK_SIZE
+
+    def test_diverging_write_shows_at_the_next_fsync(self, system):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"a" * 3000)
+        dev.fsync(fd)
+        system.twin.behavior = ExtraWriteIn(OpCode.WRITE)
+        dev.write(fd, b"b" * 5000)
+        system.twin.behavior = EvilBehavior()
+        assert dev.fstat(fd) == 8000  # the optimistic size
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.fstat(fd) == 3000  # rolled back
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
 

@@ -2,6 +2,8 @@ import hashlib
 import hmac
 import struct
 import tempfile
+import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -384,7 +386,10 @@ class TestJournalPersistence:
             assert revived.committed == committed
             assert path.stat().st_size == start  # the torn tail is gone
 
-    @pytest.mark.parametrize("damage", ["parent-format", "empty", "corrupt-checkpoint", "staged-first"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["parent-format", "empty", "corrupt-checkpoint", "staged-first", "no-superblock", "bad-geometry"],
+    )
     def test_journal_without_a_leading_checkpoint_is_refused(self, tmp_path, damage):
         state, path = staged_commit_staged(tmp_path)
         raw = path.read_bytes()
@@ -397,6 +402,13 @@ class TestJournalPersistence:
             raw = b""
         elif damage == "corrupt-checkpoint":
             raw = raw[:20] + bytes([raw[20] ^ 0x01]) + raw[21:]
+        elif damage in ("no-superblock", "bad-geometry"):
+            # A CRC-valid CHECKPOINT whose block 0 is not a superblock.
+            body = struct.pack("<BQ", 4, 0)
+            if damage == "bad-geometry":
+                sb = replace(mkfs(256, 32).superblock, bitmap_block=2)
+                body += journal.pack_blocks([(0, sb.pack().ljust(BLOCK_SIZE, b"\0"))])
+            raw = journal.HEAD.pack(len(body), zlib.crc32(body)) + body
         else:
             raw = raw[record_offsets(raw)[1] :]
         path.write_bytes(raw)

@@ -453,7 +453,79 @@ class TestIncrementalRefresh:
         assert peak < 64 * 1024
 
 
+def _digest_block_by_block(read, total_blocks=None):
+    """Reference walk for metadata_digest: every block id below the total."""
+    smap = build_stencils(read)
+    total = total_blocks if total_blocks is not None else smap.total_blocks
+    h = hashlib.sha256()
+    for bid in range(total):
+        ranges = smap.metadata_ranges(bid)
+        if not ranges:
+            continue
+        block = read(bid)
+        h.update(bid.to_bytes(4, "little"))
+        for start, end in ranges:
+            h.update(block[start:end])
+    return h.hexdigest()
+
+
+# An inode rewrite whose claims reach past a 128-block geometry.
+_far_rewrite = st.tuples(
+    st.integers(0, 63),
+    st.sampled_from([MODE_FREE, MODE_FILE, MODE_DIR]),
+    st.sampled_from([0, 9]),
+    st.lists(st.one_of(st.integers(0, 300), st.just(2**32 - 1)), max_size=4),
+)
+
+
 class TestMetadataDigest:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_far_rewrite, max_size=10), st.sampled_from([None, 128, 64, 7, 0]))
+    def test_equals_a_block_by_block_walk_on_hostile_images(self, rewrites, total):
+        result = mkfs(128, 64)
+        sb = result.superblock
+        blocks = {bid: bytearray(data) for bid, data in result.full_blocks.items()}
+        for index, mode, inline_len, claimed in rewrites:
+            tbid, off = sb.inode_location(index)
+            direct = (claimed + [0] * DIRECT_COUNT)[:DIRECT_COUNT]
+            head = _INODE_HEAD.pack(mode, inline_len, 0, *direct)
+            blocks.setdefault(tbid, bytearray(BLOCK_SIZE))[off : off + len(head)] = head
+        for bid in range(sb.data_start, 300):
+            blocks.setdefault(bid, bytearray(bid.to_bytes(4, "little") * (BLOCK_SIZE // 4)))
+
+        def read(bid):
+            return bytes(blocks.get(bid, ZERO_BLOCK))
+
+        assert metadata_digest(read, total) == _digest_block_by_block(read, total)
+
+    def test_reads_only_metadata_blocks_at_1_gib(self):
+        result = mkfs(262144, 4096)
+        sb = result.superblock
+        blocks = {bid: bytearray(data) for bid, data in result.full_blocks.items()}
+        for index, mode, inline_len, claimed in [
+            (1, MODE_DIR, 0, [sb.data_start + 5]),
+            (2, MODE_FILE, 0, [sb.data_start + 6, sb.data_start + 7]),
+            (3, MODE_FILE, 9, []),
+        ]:
+            tbid, off = sb.inode_location(index)
+            head = _INODE_HEAD.pack(mode, inline_len, 0, *(claimed + [0] * DIRECT_COUNT)[:DIRECT_COUNT])
+            blocks[tbid][off : off + len(head)] = head
+        reads = []
+
+        def read(bid):
+            reads.append(bid)
+            return bytes(blocks.get(bid, ZERO_BLOCK))
+
+        smap = build_stencils(read)
+        metadata = {bid for bid in smap.classes if smap.metadata_ranges(bid)}
+        assert sb.data_start + 5 in metadata and sb.data_start + 6 not in metadata
+        del reads[:]
+        metadata_digest(read)
+        # one build (the superblock and the table blocks), then one read per metadata block
+        table = range(sb.inode_table_start, sb.data_start)
+        assert reads[: 1 + len(table)] == [0, *table]
+        assert reads[1 + len(table) :] == sorted(metadata)
+
     def test_full_and_metadata_only_images_agree(self):
         result = mkfs(64, 32)
         full = ImageAccessor(64, overlay=dict(result.full_blocks))
