@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import uuid
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
 from twinfs import journal, stencil, wire
@@ -242,29 +242,28 @@ class PendingOp:
 
 @dataclass(eq=False)  # _hello finds its own record by identity
 class Expect:
-    """One reply the device awaits from the replica, in send order.
+    """One reply the device awaits from the replica, in send order: a
+    TRACE_RESP to a FILEOP, an ACK to a HELLO, COMMIT or ABORT."""
 
-    kind is "hello", "op" (a FILEOP's TRACE_RESP), "commit" or "abort".
-    """
-
-    kind: str
+    kind: wire.NetKind  # the request's
     seq: int
     pending: PendingOp | None = None
 
 
 @dataclass
 class Metrics:
-    fileops_sent: int = 0
-    commits_sent: int = 0
-    aborts_sent: int = 0
-    hellos_sent: int = 0
+    sent: Counter = field(default_factory=Counter)  # requests, by wire.NetKind
     matches: int = 0
     mismatches: int = 0
     rejects_served: int = 0
 
     @property
+    def fileops_sent(self) -> int:
+        return self.sent[wire.NetKind.FILEOP]
+
+    @property
     def rpc_total(self) -> int:
-        return self.fileops_sent + self.commits_sent + self.aborts_sent + self.hellos_sent
+        return sum(self.sent.values())
 
 
 @dataclass
@@ -488,10 +487,11 @@ class DeviceCore:
         meta = meta or {}
         self.device_id = bytes.fromhex(meta["device_id"]) if meta.get("device_id") else uuid.uuid4().bytes
         self.prf_key = bytes.fromhex(meta["prf_key"]) if meta.get("prf_key") else os.urandom(16)
-        # First and last seq of the last group commit; (1, 0), an empty
-        # range, before the first. Every seq before it is committed.
-        self.batch = tuple(meta.get("batch", (1, 0)))
-        self.next_seq = self.batch[1] + 1
+        # The last seq of the last group commit, 0 before the first (an older
+        # state's [first, last] pair reads as its last); every seq up to it is committed.
+        batch = meta.get("batch", 0)
+        self.batch = batch[-1] if isinstance(batch, list) else batch
+        self.next_seq = self.batch + 1
         self.emergency: dict | None = meta.get("emergency")
         self.last_replica_digest = ""
         self._capture_blocks: dict | None = None
@@ -572,18 +572,17 @@ class DeviceCore:
 
     # -- network plumbing -------------------------------------------------------
 
-    def _send(self, kind: wire.NetKind, seq: int, body: bytes = b"") -> None:
+    def _request(self, kind: wire.NetKind, seq: int, body: bytes = b"", pending=None) -> Expect:
+        """Send a request; its reply is awaited in send order."""
         self.transport.send(wire.encode_net(kind, seq, body))
+        self.metrics.sent[kind] += 1
+        expect = Expect(kind, seq, pending)
+        self._expected.append(expect)
+        return expect
 
     def _hello(self) -> None:
-        self._send(
-            wire.NetKind.HELLO,
-            0,
-            wire.encode_hello(self.device_id, self.config.stencil_source == "cloud"),
-        )
-        self.metrics.hellos_sent += 1
-        expect = Expect("hello", 0)
-        self._expected.append(expect)
+        hello = wire.encode_hello(self.device_id, self.config.stencil_source == "cloud")
+        expect = self._request(wire.NetKind.HELLO, 0, hello)
         while expect in self._expected:
             self._consume_next()
 
@@ -591,21 +590,22 @@ class DeviceCore:
         """Take the oldest awaited reply: a TRACE_RESP to a FILEOP, an ACK to the
         rest, of the request's seq. Any other is a refusal: a verdict or a DeviceError."""
         expect = self._expected.popleft()
-        want = wire.NetKind.TRACE_RESP if expect.kind == "op" else wire.NetKind.ACK
+        want = wire.NetKind.TRACE_RESP if expect.kind == wire.NetKind.FILEOP else wire.NetKind.ACK
         try:
             kind, seq, body = wire.decode_net(self.transport.recv())
         except wire.DecodeError:
             kind, seq, body = None, None, b""
         accepted = (kind, seq) == (want, expect.seq)
-        if expect.kind == "op":
+        if expect.kind == wire.NetKind.FILEOP:
             if expect.pending.verdict is None:
                 # A resolved op was rolled back behind an earlier failure. An
                 # ABORT needs no answer: it cascades and takes a seq never sent.
                 self._handle_trace_resp(expect.pending, body if accepted else None, _refusal(kind, body))
         elif not accepted:
             reason = _refusal(kind, body) or "%s reply for seq %s" % (getattr(kind, "name", "malformed"), seq)
-            raise DeviceError("replica refused %s of seq %d: %s" % (expect.kind, expect.seq, reason))
-        elif expect.kind == "hello":
+            request = expect.kind.name.lower()
+            raise DeviceError("replica refused %s of seq %d: %s" % (request, expect.seq, reason))
+        elif expect.kind == wire.NetKind.HELLO:
             self._handle_hello_ack(body)
         if self._validated and not self.pending:
             self._group_commit()
@@ -662,9 +662,7 @@ class DeviceCore:
             checkpoint=self.store.checkpoint(()),
         )
         self._crash_hook("before_delegate", seq)
-        self._send(wire.NetKind.FILEOP, seq, wire.encode_fileop(op))
-        self.metrics.fileops_sent += 1
-        self._expected.append(Expect("op", seq, pending))
+        self._request(wire.NetKind.FILEOP, seq, wire.encode_fileop(op), pending)
         self.pending.append(pending)
         self._crash_hook("after_replay_staged", seq)
         self._run_local(pending)
@@ -888,19 +886,17 @@ class DeviceCore:
 
         It runs once no op is in flight, so the store holds validated bytes
         only. The metadata save is the commit point: it makes the store save
-        durable and names the batch, whose COMMITs recovery resends.
+        durable and names the batch's last seq, whose COMMIT commits the
+        whole batch (PROTOCOL.md, "Device") and is what recovery resends.
         """
-        seqs, self._validated = self._validated, []
+        last, self._validated = self._validated[-1], []
         self._persist_store()
-        self._crash_hook("after_device_exec", seqs[-1])
-        self.batch = (seqs[0], seqs[-1])
+        self._crash_hook("after_device_exec", last)
+        self.batch = last
         self._persist_meta()
-        self._crash_hook("after_device_commit", seqs[-1])
-        for seq in seqs:
-            self._send(wire.NetKind.COMMIT, seq)
-            self.metrics.commits_sent += 1
-            self._expected.append(Expect("commit", seq))
-        self._crash_hook("after_replica_commit", seqs[-1])
+        self._crash_hook("after_device_commit", last)
+        self._request(wire.NetKind.COMMIT, last)
+        self._crash_hook("after_replica_commit", last)
 
     def _memo_update(self, pending: PendingOp, cloud: OpOutcome) -> None:
         op = pending.op
@@ -1016,9 +1012,7 @@ class DeviceCore:
             self.stencil_dirty |= restored
             self._refresh_stencils(None, undo=pending.map_undo)
         if not self.offline:
-            self._send(wire.NetKind.ABORT, pending.seq)
-            self.metrics.aborts_sent += 1
-            self._expected.append(Expect("abort", pending.seq))
+            self._request(wire.NetKind.ABORT, pending.seq)
         self.next_seq = pending.seq
         # The local twin may have installed state for aborted ops; force a
         # fresh engine and lazy reopen/reseek of every surviving fd.
@@ -1063,7 +1057,7 @@ class DeviceCore:
 
     def drain_ops(self) -> None:
         """Resolve every outstanding delegated operation (not commit acks)."""
-        while any(e.kind == "op" for e in self._expected):
+        while any(e.kind == wire.NetKind.FILEOP for e in self._expected):
             self._consume_next()
 
     def drain_all(self) -> None:
@@ -1459,18 +1453,14 @@ class DeviceCore:
     # -- disconnection and recovery ----------------------------------------------------
 
     def reconnect_recover(self) -> None:
-        """Resend the last group commit's COMMITs, abort every op after it,
+        """Resend the last group commit's COMMIT, abort every op after it,
         and flush buffered operations."""
         if self.offline:
             raise OfflineError("transport still severed")
         self._hello()
-        for seq in range(self.batch[0], self.batch[1] + 1):
-            self._send(wire.NetKind.COMMIT, seq)
-            self.metrics.commits_sent += 1
-            self._expected.append(Expect("commit", seq))
-        self._send(wire.NetKind.ABORT, self.next_seq)
-        self.metrics.aborts_sent += 1
-        self._expected.append(Expect("abort", self.next_seq))
+        if self.batch:
+            self._request(wire.NetKind.COMMIT, self.batch)
+        self._request(wire.NetKind.ABORT, self.next_seq)
         self.drain_all()
         if self.offline_queue:
             self._flush_offline_queue()

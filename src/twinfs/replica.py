@@ -2,11 +2,11 @@
 
 The replica never holds file data. It executes each delegated operation
 against its own metadata copy, answers with the resulting block-request
-trace plus an ok-to-commit, and makes the staged metadata delta durable only
-when the device sends the final commit (two-phase commit). Staged deltas are
-journaled so a commit resent after a crash can still be applied; replay of
-op N+1 proceeds against N's staged state, and aborting N cascades to every
-later staged transaction.
+trace plus an ok-to-commit, and makes the staged metadata deltas durable only
+when the device sends the final commit (two-phase commit), which commits
+every staged op through its seq. Staged deltas are journaled so a commit
+resent after a crash can still be applied; replay of op N+1 proceeds against
+N's staged state, and aborting N cascades to every later staged transaction.
 """
 
 from __future__ import annotations
@@ -227,21 +227,23 @@ class ReplicaSession:
         )
 
     def commit(self, seq: int) -> bool:
-        """Make a staged delta durable. Idempotent for already-committed seqs."""
+        """Make every staged delta through `seq` durable with one journal record.
+        Idempotent for committed seqs; False for a seq past the last staged one."""
         if seq <= self.last_committed:
             return True
-        if not self.staged or self.staged[0][0] != seq:
+        if not self.staged or self.staged[-1][0] < seq:
             return False
         self._journal_append(_J_HEAD.pack(_J_COMMIT, seq))
-        _, delta = self.staged.pop(0)
-        for bid, (_, new) in delta.items():
-            if new == ZERO_BLOCK:
-                self.committed.pop(bid, None)
-            else:
-                self.committed[bid] = new
-        self._drop_unstaged(delta)
+        while self.staged and self.staged[0][0] <= seq:
+            s, delta = self.staged.pop(0)
+            for bid, (_, new) in delta.items():
+                if new == ZERO_BLOCK:
+                    self.committed.pop(bid, None)
+                else:
+                    self.committed[bid] = new
+            self.fd_snapshots.pop(s, None)
+        self._drop_unstaged()
         self.last_committed = seq
-        self.fd_snapshots.pop(seq, None)
         # A fixed rule: compact once the records after the checkpoint outgrow it.
         if self._journal_bytes > 2 * self._checkpoint_bytes:
             self.compact()
@@ -265,7 +267,7 @@ class ReplicaSession:
             snap = self.fd_snapshots.pop(s, None)
             if snap is not None:
                 restored_fds = snap
-        self._drop_unstaged(restored)
+        self._drop_unstaged()
         if restored_fds is not None and self.engine is not None:
             self.engine.fds = restored_fds
         self.expected_seq = seq
@@ -273,13 +275,11 @@ class ReplicaSession:
             self._restencil(restored)
         return True
 
-    def _drop_unstaged(self, blocks) -> None:
+    def _drop_unstaged(self) -> None:
         """Forget the view's copy of each block no staged delta names: the
         committed map holds the same bytes."""
         still = set().union(*(delta for _, delta in self.staged))
-        for bid in blocks:
-            if bid not in still:
-                self.view.pop(bid, None)
+        self.view = {bid: data for bid, data in self.view.items() if bid in still}
 
     def _restencil(self, dirtied) -> None:
         """Refresh the cloud-stencil map from the blocks the view just changed."""
@@ -354,17 +354,19 @@ class _Handler(socketserver.BaseRequestHandler):
         session: ReplicaSession | None = None
         try:
             while True:
-                raw = wire.read_net_message(self.request.recv)
-                if session is None:
-                    try:
+                raw = None
+                try:
+                    raw = wire.read_net_message(self.request.recv)
+                    if session is None:
                         kind, _, body = wire.decode_net(raw)
                         if kind != wire.NetKind.HELLO:
                             break
-                        _, _, device_id = wire.decode_hello(body)
-                    except wire.DecodeError as exc:
-                        self.request.sendall(_error(0, ERR_BAD_MESSAGE, str(exc)))
-                        continue
-                    session = server.session_for(device_id)
+                        session = server.session_for(wire.decode_hello(body)[2])
+                except wire.DecodeError as exc:
+                    self.request.sendall(_error(0, ERR_BAD_MESSAGE, str(exc)))
+                    if raw is None:
+                        return  # the framing is lost: close the connection
+                    continue
                 with server.lock_for(session):
                     self.request.sendall(session.handle_message(raw))
         except (wire.ChannelClosed, ConnectionError, OSError):

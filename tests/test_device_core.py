@@ -755,7 +755,7 @@ class TestPipelinedOpen:
             staged = max(staged, len(system.session.staged))
         assert backlog <= MAX_IN_FLIGHT
         assert staged <= 2 * MAX_IN_FLIGHT
-        assert dev.metrics.commits_sent >= 3 * 400 - 2 * MAX_IN_FLIGHT
+        assert system.session.last_committed >= 3 * 400 - 2 * MAX_IN_FLIGHT
         dev.shutdown()
         assert dev.device_metadata_digest() == system.session.durable_digest()
 

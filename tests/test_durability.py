@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twinfs
+from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE, BlockStore, ZERO_BLOCK
 from twinfs.device_core import CrashSignal, DeviceConfig, DeviceCore, FileDurability, MemoryDurability
 from twinfs.harness import CRASH_POINTS, build_system
@@ -187,10 +188,10 @@ def test_one_metadata_save_per_group_commit_and_none_per_op():
     dev.fsync(fd)
     assert dev.metrics.fileops_sent - sent == 4
     assert sink.saves == 1  # one group commit
-    assert sink.load_meta()["batch"] == [first, first + 3]
+    assert sink.load_meta()["batch"] == first + 3
     assert sink.load_store() == dev.store.snapshot()
     dev.shutdown()
-    assert sink.load_meta()["batch"] == [first, first + 3]
+    assert sink.load_meta()["batch"] == first + 3
     system.session.close()
 
 
@@ -484,6 +485,73 @@ def test_crash_between_a_group_commits_store_save_and_its_commit_converges(tmp_p
     revived, replica = _revive(device_dir, replica_dir)
     assert revived.device_metadata_digest() == replica.durable_digest()
     assert revived.fstat(revived.open("f")) == 0  # the write is gone on both sides
+    replica.close()
+
+
+_STAGED, _COMMIT = 1, 2  # replica journal record kinds (PROTOCOL.md, "Replica")
+
+
+def _journal_records(replica_dir):
+    """(kind, seq) of each record of the replica's journal.bin."""
+    records = []
+    journal.replay(
+        os.path.join(replica_dir, "journal.bin"),
+        lambda body: records.append((body[0], int.from_bytes(body[1:9], "little"))) or True,
+    )
+    return records
+
+
+def _four_writes_in_one_group_commit(replica_dir, monkeypatch, durability=None):
+    """A device that opened a file and then wrote four blocks under one
+    fsync. Compaction is off: it would fold the replica's COMMIT records
+    into a new checkpoint."""
+    system = build_system(
+        total_blocks=256, inode_count=32, emergency_bytes=0,
+        durability=durability, replica_state_dir=replica_dir,
+    )
+    monkeypatch.setattr(system.session, "compact", lambda: None)
+    dev = system.device
+    dev.persist()
+    fd = dev.open("f", OpFlag.CREATE)
+    first = dev.next_seq
+    records = len(_journal_records(replica_dir))
+    commits = dev.metrics.sent[wire.NetKind.COMMIT]
+    for i in range(4):
+        dev.write(fd, filled(i + 1))
+    dev.fsync(fd)
+    assert dev.next_seq == first + 4
+    return system, _journal_records(replica_dir)[records:], dev.metrics.sent[wire.NetKind.COMMIT] - commits
+
+
+def test_a_group_commit_of_four_ops_sends_and_journals_one_commit(tmp_path, monkeypatch):
+    system, appended, commits = _four_writes_in_one_group_commit(str(tmp_path / "replica"), monkeypatch)
+    batch = system.device.next_seq - 1
+    assert commits == 1
+    assert appended == [(_STAGED, seq) for seq in range(batch - 3, batch + 1)] + [(_COMMIT, batch)]
+    assert system.session.last_committed == batch
+    assert system.device.device_metadata_digest() == system.session.durable_digest()
+
+
+@pytest.mark.parametrize("cut", ["before", "torn", "after"])
+def test_replica_crash_around_a_cumulative_commit_record_converges(tmp_path, monkeypatch, cut):
+    # The replica's journal is cut just before its one COMMIT record, inside
+    # it or just after it; the device restarts from its own files.
+    device_dir, replica_dir = str(tmp_path / "device"), str(tmp_path / "replica")
+    system, appended, _ = _four_writes_in_one_group_commit(
+        replica_dir, monkeypatch, FileDurability(device_dir)
+    )
+    batch = system.device.next_seq - 1
+    assert appended[-1] == (_COMMIT, batch)
+    system.session.close()
+    path = tmp_path / "replica" / "journal.bin"
+    raw = path.read_bytes()
+    start = len(raw) - journal.HEAD.size - 9  # a COMMIT record's body is its kind and seq
+    path.write_bytes(raw[: {"before": start, "torn": start + 10, "after": len(raw)}[cut]])
+    revived, replica = _revive(device_dir, replica_dir)
+    assert replica.last_committed == batch
+    assert revived.device_metadata_digest() == replica.durable_digest()
+    assert revived.device_metadata_digest() == system.device.device_metadata_digest()
+    assert revived.fstat(revived.open("f")) == 4 * BLOCK_SIZE
     replica.close()
 
 

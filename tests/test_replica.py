@@ -94,12 +94,19 @@ class TestReplayAndCommit:
         outcome, ok = session.replay_fileop(op_write(2, 0, 100))
         assert ok and outcome.status == Status.OK  # sees the staged open
 
-    def test_commit_out_of_order_refused(self):
-        session = fresh_session()
-        session.replay_fileop(op_open(1, 0, "f"))
-        session.replay_fileop(op_write(2, 0, 100))
-        assert not session.commit(2)
-        assert session.commit(1) and session.commit(2)
+    def test_commit_is_cumulative(self):
+        sessions = [fresh_session(), fresh_session()]
+        for session in sessions:
+            for op in (op_open(1, 0, "f"), op_write(2, 0, 100), op_write(3, 0, 100)):
+                session.replay_fileop(op)
+        one_by_one, cumulative = sessions
+        assert one_by_one.commit(1) and one_by_one.commit(2)
+        assert not cumulative.commit(4)  # past the last staged op
+        assert cumulative.commit(2)
+        assert cumulative.last_committed == 2
+        assert [seq for seq, _ in cumulative.staged] == [3]
+        assert cumulative.durable_digest() == one_by_one.durable_digest()
+        assert cumulative.commit(3) and not cumulative.commit(4)
 
     def test_commit_idempotent(self):
         session = fresh_session()
@@ -553,6 +560,34 @@ class TestServer:
                 sock.sendall(wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(b"\x05" * 16)))
                 kind, _, body = wire.decode_net(wire.read_net_message(sock.recv))
             assert kind == wire.NetKind.ACK and len(body) == 32
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_prefix_shorter_than_a_header_answers_and_closes(self):
+        import socket
+
+        from twinfs.harness import build_system
+
+        server = ReplicaServer(("127.0.0.1", 0))
+        server.register_image(mkfs(256, 32).metadata_image)
+        server.serve_in_thread()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(b"\x01\x00\x00\x00")  # a 1-byte message: the framing is lost
+                kind, seq, body = wire.decode_net(wire.read_net_message(sock.recv))
+                assert (kind, seq, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, 0, ERR_BAD_MESSAGE)
+                assert sock.recv(1) == b""
+            # An honest device on a second connection still converges.
+            system = build_system(total_blocks=256, inode_count=32, replica_addr=server.server_address)
+            dev = system.device
+            fd = dev.open("f", OpFlag.CREATE)
+            dev.write(fd, b"x" * 5000)
+            dev.fsync(fd)
+            dev.close(fd)
+            dev.shutdown()
+            session = server.session_for(dev.device_id)
+            assert dev.device_metadata_digest() == session.durable_digest()
         finally:
             server.shutdown()
             server.server_close()
