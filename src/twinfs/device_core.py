@@ -186,17 +186,13 @@ class MemoTable:
     twins, and path tokens -> inode, so reopens need not wait for a verdict.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.entries: dict[tuple, int] = {}
 
     def put(self, key, block: int) -> None:
-        if self.enabled:
-            self.entries[key] = block
+        self.entries[key] = block
 
     def get(self, key) -> int | None:
-        if not self.enabled:
-            return None
         return self.entries.get(key)
 
     def invalidate_file(self, inode: int) -> None:
@@ -269,7 +265,6 @@ class Metrics:
 @dataclass
 class DeviceConfig:
     cache_pages: int = 64
-    memo_enabled: bool = True
     emergency_bytes: int = 65536
     stencil_source: str = "device"  # or "cloud"
     crash_hook = None
@@ -464,7 +459,7 @@ class DeviceCore:
         self.durability = durability
         self.metrics = Metrics()
         self.sb = Superblock.unpack(store.read_block(0))
-        self.memo = MemoTable(self.config.memo_enabled)
+        self.memo = MemoTable()
         self.cache = PageCache(self.config.cache_pages, on_evict=self._memoize_evicted)
         self.fds: dict[int, FdEntry] = {}
         self.file_sizes: dict[int, int] = {}
@@ -494,7 +489,6 @@ class DeviceCore:
         self.next_seq = self.batch + 1
         self.emergency: dict | None = meta.get("emergency")
         self.last_replica_digest = ""
-        self._capture_blocks: dict | None = None
         if self.emergency:
             self._memoize_emergency()
         if not self.offline:
@@ -503,7 +497,6 @@ class DeviceCore:
                 self._create_emergency()
 
     def _memoize_emergency(self) -> None:
-        # The emergency extent stays memoized even when memoization is off.
         cursor = 0
         for segment in self.emergency["segments"]:
             for page in range(segment["size"] // BLOCK_SIZE):
@@ -823,7 +816,7 @@ class DeviceCore:
         verdict = verify_traces(pending.local.trace, cloud.trace)
         if not verdict.is_match:
             return verdict
-        if not pending.local.same_as(cloud):
+        if pending.local != cloud:
             return Verdict(MISMATCH, -1)
         return verdict
 
@@ -909,10 +902,7 @@ class DeviceCore:
         cursor = pending.pos_before
         for seg in cloud.segments:
             if seg.kind == SegKind.BLOCK:
-                key = (pending.file_inode, cursor // BLOCK_SIZE)
-                self.memo.put(key, seg.target)
-                if self._capture_blocks is not None:
-                    self._capture_blocks[key] = seg.target
+                self.memo.put((pending.file_inode, cursor // BLOCK_SIZE), seg.target)
             cursor += seg.length
 
     def _refresh_stencils(self, delta, marked=(), undo=None) -> None:
@@ -1364,7 +1354,6 @@ class DeviceCore:
         """Pre-allocate the emergency extent, spanning files as needed."""
         pages = -(-self.config.emergency_bytes // BLOCK_SIZE)
         size = pages * BLOCK_SIZE
-        self._capture_blocks = {}
         blocks: list[int] = []
         segments: list[dict] = []
         chunk = bytes(BLOCK_SIZE)
@@ -1380,7 +1369,7 @@ class DeviceCore:
             self.fsync(fd)
             self.close(fd)
             for page in range(seg_pages):
-                block = self._capture_blocks.get((inode, page))
+                block = self.memo.entries.get((inode, page))
                 if block is None:
                     raise DeviceError("emergency pre-allocation failed to memoize")
                 blocks.append(block)
@@ -1393,7 +1382,6 @@ class DeviceCore:
             )
             remaining -= seg_pages
             index += 1
-        self._capture_blocks = None
         self.emergency = {"size": size, "blocks": blocks, "segments": segments}
         self._memoize_emergency()
         self._persist_meta()

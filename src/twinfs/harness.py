@@ -352,7 +352,6 @@ def build_system(
     attack_at: int = 1,
     cache_pages: int = 64,
     stencil_source: str = "device",
-    memo_enabled: bool = True,
     emergency_bytes: int = 0,
     vault: TaintVault | None = None,
     durability=None,
@@ -376,7 +375,6 @@ def build_system(
     twin = LocalTwin(behavior)
     config = DeviceConfig(
         cache_pages=cache_pages,
-        memo_enabled=memo_enabled,
         emergency_bytes=emergency_bytes,
         stencil_source=stencil_source,
     )

@@ -163,17 +163,6 @@ class OpOutcome:
     position: int = 0
     promote: Promote | None = None
 
-    def same_as(self, other: "OpOutcome") -> bool:
-        return (
-            self.status == other.status
-            and self.trace == other.trace
-            and self.segments == other.segments
-            and self.inode == other.inode
-            and self.size == other.size
-            and self.position == other.position
-            and self.promote == other.promote
-        )
-
 
 @dataclass
 class Superblock:
@@ -410,7 +399,6 @@ class BadFd(Exception):
 class FdState:
     inode: int
     pos: int
-    flags: int
 
 
 class Engine:
@@ -636,7 +624,7 @@ class Engine:
         if op.flags & OpFlag.TRUNC and (inode.size or inode.inline_len):
             self._truncate(leaf, inode)
             inode = self._read_inode(leaf)
-        self.fds[op.fd] = FdState(inode=leaf, pos=0, flags=op.flags)
+        self.fds[op.fd] = FdState(inode=leaf, pos=0)
         return OpOutcome(inode=leaf, size=inode.size, position=0)
 
     def _create_child(self, parent: int, token: bytes, mode: int) -> int:

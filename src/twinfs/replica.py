@@ -7,6 +7,8 @@ when the device sends the final commit (two-phase commit), which commits
 every staged op through its seq. Staged deltas are journaled so a commit
 resent after a crash can still be applied; replay of op N+1 proceeds against
 N's staged state, and aborting N cascades to every later staged transaction.
+Like the journal, a session holds redo state only: the new bytes of each
+block a staged op wrote.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from twinfs.minifs import (
     BadMagicError,
     CorruptSuperblockError,
     Engine,
-    FdState,
     INODE_SIZE,
     Inode,
     MODE_FILE,
@@ -35,6 +36,7 @@ from twinfs.minifs import (
 
 ERR_UNKNOWN_TXN = 1
 ERR_BAD_MESSAGE = 2
+ERR_BAD_STATE = 3
 
 _J_STAGED = 1
 _J_COMMIT = 2
@@ -47,28 +49,13 @@ class BadImageError(Exception):
     pass
 
 
-class _StateAccessor(MetadataAccessor):
-    """Engine view over committed + staged metadata, recording deltas."""
-
-    def __init__(self, session: "ReplicaSession"):
-        self.session = session
-        self.recording: dict[int, tuple[bytes, bytes]] | None = None
-
-    def read_meta(self, block_id: int) -> bytes:
-        return self.session._read_view(block_id)
-
-    def write_meta(self, block_id: int, data: bytes) -> None:
-        old = self.session._read_view(block_id)
-        data = bytes(data)
-        if self.recording is not None:
-            prior = self.recording.get(block_id)
-            self.recording[block_id] = (prior[0] if prior else old, data)
-        self.session.view[block_id] = data
-
-
-class ReplicaSession:
+class ReplicaSession(MetadataAccessor):
     """One device's metadata replica plus its 2PC staging journal, kept in
-    `journal.bin` under a state directory (PROTOCOL.md, "Durable logs")."""
+    `journal.bin` under a state directory (PROTOCOL.md, "Durable logs").
+
+    The session is its engine's accessor: the engine reads the view over the
+    committed blocks, and its writes go to the view and to the delta of the
+    op being replayed."""
 
     def __init__(self, state_dir: str | None = None):
         self._path = state_dir and os.path.join(state_dir, "journal.bin")
@@ -77,8 +64,9 @@ class ReplicaSession:
         self.committed: dict[int, bytes] = {}
         # Staged blocks: the newest staged bytes of each block a staged delta names.
         self.view: dict[int, bytes] = {}
-        self.staged: list[tuple[int, dict[int, tuple[bytes, bytes]]]] = []
-        self.fd_snapshots: dict[int, dict[int, FdState]] = {}
+        # (seq, delta) in seq order; a delta maps each block the op wrote to its new bytes.
+        self.staged: list[tuple[int, dict[int, bytes]]] = []
+        self._delta: dict[int, bytes] = {}
         self.expected_seq = 1
         self.last_committed = 0
         self.cloud_stencils = False
@@ -86,7 +74,6 @@ class ReplicaSession:
         # reclassified since the last TRACE_RESP.
         self._last_stencil: stencil.StencilMap | None = None
         self._unsent: set[int] = set()
-        self.accessor = _StateAccessor(self)
         self.engine: Engine | None = None
         self._journal_bytes = self._checkpoint_bytes = 0
 
@@ -106,7 +93,7 @@ class ReplicaSession:
         if state_dir:
             os.makedirs(state_dir, exist_ok=True)
             session.compact()
-        session.engine = Engine(session.accessor)
+        session.engine = Engine(session)
         return session
 
     @classmethod
@@ -117,7 +104,7 @@ class ReplicaSession:
         if session._journal_bytes is None:
             raise BadImageError("journal.bin does not start with an intact checkpoint")
         session._path = path
-        session.engine = Engine(session.accessor)
+        session.engine = Engine(session)
         return session
 
     def _assert_zero_data(self) -> None:
@@ -150,9 +137,8 @@ class ReplicaSession:
             self._checkpoint_bytes = journal.HEAD.size + len(body)
             return True
         if kind == _J_STAGED:
-            delta = {bid: (self._read_view(bid), new) for bid, new in blocks.items()}
             self.view.update(blocks)
-            self._stage(seq, delta)
+            self._stage(seq, blocks)
             return True
         if kind == _J_COMMIT:
             return self.commit(seq)
@@ -178,10 +164,13 @@ class ReplicaSession:
 
     # -- metadata views ----------------------------------------------------
 
-    def _read_view(self, block_id: int) -> bytes:
+    def read_meta(self, block_id: int) -> bytes:
         if block_id in self.view:
             return self.view[block_id]
         return self._read_durable(block_id)
+
+    def write_meta(self, block_id: int, data: bytes) -> None:
+        self.view[block_id] = self._delta[block_id] = bytes(data)
 
     def _read_durable(self, block_id: int) -> bytes:
         return self.committed.get(block_id, ZERO_BLOCK)
@@ -191,13 +180,10 @@ class ReplicaSession:
 
     def state_bytes(self):
         """Every durable and staged block held by the replica, each once
-        (taint scans). A delta's old bytes are a committed block, zeros or
-        an earlier delta's new bytes, and the view holds the newest of these.
-        """
+        (taint scans): the view holds the newest staged bytes only."""
         yield from self.committed.values()
         for _, delta in self.staged:
-            for _, new in delta.values():
-                yield new
+            yield from delta.values()
 
     # -- 2PC operations ------------------------------------------------------
 
@@ -205,14 +191,9 @@ class ReplicaSession:
         """Execute one delegated op against staged state; stage its delta."""
         if op.seq != self.expected_seq:
             return OpOutcome(status=Status.SEQ_GAP), False
-        self.fd_snapshots[op.seq] = {
-            fd: FdState(st.inode, st.pos, st.flags) for fd, st in self.engine.fds.items()
-        }
-        self.accessor.recording = {}
+        self._delta = {}
         outcome = self.engine.exec_fileop(op)
-        delta = self.accessor.recording
-        self.accessor.recording = None
-        self._stage(op.seq, delta)
+        self._stage(op.seq, self._delta)
         return outcome, True
 
     def _stage(self, seq: int, delta) -> None:
@@ -222,9 +203,7 @@ class ReplicaSession:
 
     @staticmethod
     def _staged_record(seq: int, delta) -> bytes:
-        return _J_HEAD.pack(_J_STAGED, seq) + journal.pack_blocks(
-            (bid, delta[bid][1]) for bid in sorted(delta)
-        )
+        return _J_HEAD.pack(_J_STAGED, seq) + journal.pack_blocks(sorted(delta.items()))
 
     def commit(self, seq: int) -> bool:
         """Make every staged delta through `seq` durable with one journal record.
@@ -235,14 +214,12 @@ class ReplicaSession:
             return False
         self._journal_append(_J_HEAD.pack(_J_COMMIT, seq))
         while self.staged and self.staged[0][0] <= seq:
-            s, delta = self.staged.pop(0)
-            for bid, (_, new) in delta.items():
+            for bid, new in self.staged.pop(0)[1].items():
                 if new == ZERO_BLOCK:
                     self.committed.pop(bid, None)
                 else:
                     self.committed[bid] = new
-            self.fd_snapshots.pop(s, None)
-        self._drop_unstaged()
+        self._rebuild_view()
         self.last_committed = seq
         # A fixed rule: compact once the records after the checkpoint outgrow it.
         if self._journal_bytes > 2 * self._checkpoint_bytes:
@@ -250,40 +227,37 @@ class ReplicaSession:
         return True
 
     def abort(self, seq: int) -> bool:
-        """Drop staged deltas >= seq, rewinding state; cascades forward."""
+        """Drop staged deltas >= seq; cascades forward.
+
+        Dropping an op also clears the engine's fd table, as the device
+        resets its local twin's: it reopens each fd at both twins before
+        using it again. An abort that drops nothing keeps the table."""
         if seq <= self.last_committed:
             return False
-        if not any(s >= seq for s, _ in self.staged):
+        keep = sum(1 for s, _ in self.staged if s < seq)
+        if keep == len(self.staged):
             # Recovery abort of an op that never arrived: nothing to drop.
             return True
         self._journal_append(_J_HEAD.pack(_J_ABORT, seq))
-        restored_fds: dict[int, FdState] | None = None
-        restored: set[int] = set()
-        while self.staged and self.staged[-1][0] >= seq:
-            s, delta = self.staged.pop()
-            for bid, (old, _) in delta.items():
-                self.view[bid] = old
-            restored.update(delta)
-            snap = self.fd_snapshots.pop(s, None)
-            if snap is not None:
-                restored_fds = snap
-        self._drop_unstaged()
-        if restored_fds is not None and self.engine is not None:
-            self.engine.fds = restored_fds
+        dropped = set().union(*(delta for _, delta in self.staged[keep:]))
+        del self.staged[keep:]
+        self._rebuild_view()
+        if self.engine is not None:  # None while the journal loads
+            self.engine.fds.clear()
         self.expected_seq = seq
         if self.cloud_stencils:
-            self._restencil(restored)
+            self._restencil(dropped)
         return True
 
-    def _drop_unstaged(self) -> None:
-        """Forget the view's copy of each block no staged delta names: the
-        committed map holds the same bytes."""
-        still = set().union(*(delta for _, delta in self.staged))
-        self.view = {bid: data for bid, data in self.view.items() if bid in still}
+    def _rebuild_view(self) -> None:
+        """Redo the surviving staged deltas, oldest first, over the committed map."""
+        self.view = {}
+        for _, delta in self.staged:
+            self.view.update(delta)
 
     def _restencil(self, dirtied) -> None:
         """Refresh the cloud-stencil map from the blocks the view just changed."""
-        self._last_stencil = stencil.refresh(self._last_stencil, dirtied, self._read_view)
+        self._last_stencil = stencil.refresh(self._last_stencil, dirtied, self.read_meta)
         self._unsent |= self._last_stencil.changed
 
     def _stencil_delta(self) -> bytes:
@@ -317,7 +291,7 @@ class ReplicaSession:
             self._last_stencil = None
             self._unsent = set()
             if cloud_stencils:
-                smap = self._last_stencil = stencil.build_stencils(self._read_view)
+                smap = self._last_stencil = stencil.build_stencils(self.read_meta)
                 ack += wire.encode_stencil_delta([smap.entry(bid) for bid in sorted(smap.classes)])
             return wire.encode_net(wire.NetKind.ACK, seq, ack)
         if kind == wire.NetKind.FILEOP:
@@ -340,10 +314,6 @@ def _error(seq: int, code: int, message: str) -> bytes:
     return wire.encode_net(wire.NetKind.ERROR, seq, wire.encode_error(code, message))
 
 
-def bootstrap(metadata_image: bytes, state_dir: str | None = None) -> ReplicaSession:
-    return ReplicaSession.bootstrap(metadata_image, state_dir)
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def setup(self):
         # Replies are small writes the device waits on; send them at once.
@@ -361,7 +331,11 @@ class _Handler(socketserver.BaseRequestHandler):
                         kind, _, body = wire.decode_net(raw)
                         if kind != wire.NetKind.HELLO:
                             break
-                        session = server.session_for(wire.decode_hello(body)[2])
+                        try:
+                            session = server.session_for(wire.decode_hello(body)[2])
+                        except BadImageError as exc:
+                            self.request.sendall(_error(0, ERR_BAD_STATE, str(exc)))
+                            return
                 except wire.DecodeError as exc:
                     self.request.sendall(_error(0, ERR_BAD_MESSAGE, str(exc)))
                     if raw is None:

@@ -14,7 +14,7 @@ refreshed after that from the blocks each validated operation dirtied.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
 from twinfs.minifs import (
@@ -51,21 +51,20 @@ class BlockRejected(Exception):
 class StencilMap:
     """2-bit class per live block; Mixed blocks carry their metadata ranges.
 
-    `changed` names the blocks whose class or ranges differ from the map this
-    one came from, and `before` holds their entries there (a fresh build
-    names every classified block and has no `before`). A map made by
-    build_stencils or refresh also carries the owner index refresh works
-    from: the geometry it was parsed with (`sb`), the blocks each inode
-    claims, the inodes claiming each block, the offsets of the inodes
-    with inline file bytes in each table block, and the bytes each table
-    block was last indexed from. A map assembled from delta entries has no
-    index.
+    `changed` names the blocks the last build, refresh or applied delta set:
+    a refresh names those whose class or ranges moved and keeps their
+    entries from before it in `before` (a fresh build names every classified
+    block and has no `before`). A map made by build_stencils or refresh also
+    carries the owner index refresh works from: the geometry it was parsed
+    with (`sb`), the blocks each inode claims, the inodes claiming each
+    block, the offsets of the inodes with inline file bytes in each table
+    block, and the bytes each table block was last indexed from. A map
+    assembled from delta entries has no index.
     """
 
     total_blocks: int
     classes: dict[int, int] = field(default_factory=dict)
     mixed_ranges: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
-    generation: int = 0
     changed: frozenset[int] = frozenset()
     before: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = field(default_factory=dict)
     sb: Superblock | None = None
@@ -115,7 +114,6 @@ class StencilMap:
         for bid, cls, ranges in entries:
             self._set(bid, cls, tuple(ranges))
         self.changed = frozenset(bid for bid, _, _ in entries)
-        self.generation += 1
 
     def _set(self, bid: int, cls: int, ranges: tuple[tuple[int, int], ...]) -> None:
         if cls == CLASS_UNUSED:
@@ -154,15 +152,14 @@ def refresh(smap: StencilMap, dirtied, read) -> StencilMap:
     parsed. The blocks their inodes claimed before (from the owner index) or
     claim now are reclassified, and so is every other dirtied block, so the
     work follows `dirtied`, not the inode count or the live blocks. The
-    geometry stays the one `smap` was built with. Nothing is copied: the
-    tables are updated in place and handed to the returned map, so `smap`
-    is spent. The new map's `changed` names the blocks whose class or
-    ranges moved and `before` holds their entries in `smap`.
+    geometry stays the one `smap` was built with. Nothing is copied: `smap`
+    is updated in place and returned. Its `changed` then names the blocks
+    whose class or ranges moved and `before` holds their entries from
+    before the refresh.
     """
-    new = replace(smap, generation=smap.generation + 1)
-    new.before = _reclassify(new, dirtied, read)
-    new.changed = frozenset(new.before)
-    return new
+    smap.before = _reclassify(smap, dirtied, read)
+    smap.changed = frozenset(smap.before)
+    return smap
 
 
 def _reclassify(smap: StencilMap, dirtied, read) -> dict:

@@ -371,7 +371,7 @@ class TestTwinDeterminism:
                 op = FileOp(OpCode.FSTAT, rng.choice(open_fds), 0, 0, (), seq())
             out_full = full.exec_fileop(op)
             out_meta = meta.exec_fileop(op)
-            assert out_full.same_as(out_meta), (op, out_full, out_meta)
+            assert out_full == out_meta, (op, out_full, out_meta)
 
     def test_engine_purity_no_data_bytes_flow(self):
         """The metadata-only twin never sees payload: its image stays zero in

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE
 from twinfs.minifs import FileOp, OpCode, OpFlag, Status, mkfs
-from twinfs.replica import ERR_BAD_MESSAGE, BadImageError, ReplicaServer, ReplicaSession, bootstrap
+from twinfs.replica import ERR_BAD_MESSAGE, ERR_BAD_STATE, BadImageError, ReplicaServer, ReplicaSession
 
 
 def token(name):
@@ -20,7 +20,7 @@ def token(name):
 
 
 def fresh_session(state_dir=None, total=256, inodes=32):
-    return bootstrap(mkfs(total, inodes).metadata_image, state_dir=state_dir)
+    return ReplicaSession.bootstrap(mkfs(total, inodes).metadata_image, state_dir=state_dir)
 
 
 def op_open(seq, fd, name, flags=OpFlag.CREATE):
@@ -44,7 +44,7 @@ class TestBootstrap:
         from twinfs.minifs import BadMagicError
 
         with pytest.raises(BadMagicError):
-            bootstrap(b"\x00" * BLOCK_SIZE)
+            ReplicaSession.bootstrap(b"\x00" * BLOCK_SIZE)
 
     def test_inline_data_rejected(self):
         result = mkfs(64, 32)
@@ -56,14 +56,14 @@ class TestBootstrap:
         base = 3 * BLOCK_SIZE + 128
         image[base : base + 128] = forged.pack()
         with pytest.raises(BadImageError):
-            bootstrap(bytes(image))
+            ReplicaSession.bootstrap(bytes(image))
 
     def test_replica_footprint_is_metadata_sized(self):
         # 4 GiB geometry: the export is the metadata prefix only.
         result = mkfs(1048576, 8192)
         assert result.metadata_image_bytes == 290 * BLOCK_SIZE
         assert result.metadata_image_bytes / result.full_image_bytes < 0.016
-        session = bootstrap(result.metadata_image)
+        session = ReplicaSession.bootstrap(result.metadata_image)
         assert session.sb.total_blocks == 1048576
 
 
@@ -127,8 +127,19 @@ class TestReplayAndCommit:
         assert session.abort(1)
         assert session.durable_digest() == before
         assert session.expected_seq == 1
-        # engine fd table was rewound too
+        # the fd the aborted op opened is gone
         outcome, ok = session.replay_fileop(op_write(1, 0, 100))
+        assert ok and outcome.status == Status.BAD_FD
+
+    def test_only_an_abort_that_drops_an_op_clears_the_fd_table(self):
+        session = fresh_session()
+        session.replay_fileop(op_open(1, 0, "f"))
+        assert session.abort(2)  # a recovery abort that drops nothing
+        outcome, ok = session.replay_fileop(op_write(2, 0, 100))
+        assert ok and outcome.status == Status.OK
+        assert session.abort(2)
+        # As at the device's reset local twin: the surviving OPEN's fd is gone too.
+        outcome, ok = session.replay_fileop(op_write(2, 0, 100))
         assert ok and outcome.status == Status.BAD_FD
 
     def test_abort_cascades_to_later_staged(self):
@@ -152,7 +163,7 @@ class TestReplayAndCommit:
         inode = session.engine._read_inode(ino)
         for bid in inode.direct:
             if bid:
-                assert not any(session._read_view(bid))
+                assert not any(session.read_meta(bid))
 
     def test_committed_blocks_leave_the_view(self):
         # 200 ops committed one behind the next staged one, then an abort of
@@ -162,7 +173,7 @@ class TestReplayAndCommit:
         total = session.sb.total_blocks
 
         def image():
-            return [session._read_view(bid) for bid in range(total)]
+            return [session.read_meta(bid) for bid in range(total)]
 
         def stage(seq):
             fd = (seq - 1) % 8
@@ -255,6 +266,33 @@ class TestJournalPersistence:
         assert revived.staged == []
         assert revived.expected_seq == 1
 
+    def test_load_equals_the_live_session_after_every_record(self, tmp_path):
+        state = str(tmp_path / "rep")
+        session = fresh_session(state_dir=state)
+
+        def fields(s):
+            return s.staged, s.view, s.committed, s.expected_seq, s.last_committed
+
+        steps = [
+            lambda: session.replay_fileop(op_open(1, 0, "f")),
+            lambda: session.replay_fileop(op_write(2, 0, 5000)),
+            lambda: session.replay_fileop(op_open(3, 1, "g")),
+            lambda: session.commit(2),
+            lambda: session.replay_fileop(op_write(4, 1, 9000)),
+            lambda: session.replay_fileop(op_write(5, 0, 300)),
+            lambda: session.abort(5),
+            lambda: session.abort(6),  # drops nothing: writes no record
+            lambda: session.replay_fileop(op_open(5, 0, "f")),
+            lambda: session.replay_fileop(op_write(6, 0, 70)),
+            lambda: session.abort(4),
+            lambda: session.replay_fileop(op_open(4, 2, "h")),
+            session.compact,
+            lambda: session.commit(4),
+        ]
+        for step, run in enumerate(steps):
+            run()
+            assert fields(ReplicaSession.load(state)) == fields(session), step
+
     def test_compaction_preserves_digest(self, tmp_path):
         state = str(tmp_path / "rep")
         session = fresh_session(state_dir=state)
@@ -284,13 +322,13 @@ class TestJournalPersistence:
         journal.write_bytes(journal.read_bytes()[:-cut])
         revived = ReplicaSession.load(state)
         blocks = range(revived.sb.total_blocks)
-        assert all(len(revived._read_view(bid)) == BLOCK_SIZE for bid in blocks)
+        assert all(len(revived.read_meta(bid)) == BLOCK_SIZE for bid in blocks)
         assert revived.expected_seq == 2  # STAGED 2 was never answered
         revived.replay_fileop(op_open(2, 2, "h"))
         revived.close()
         again = ReplicaSession.load(state)
         assert again.expected_seq == 3
-        assert [again._read_view(bid) for bid in blocks] == [revived._read_view(bid) for bid in blocks]
+        assert [again.read_meta(bid) for bid in blocks] == [revived.read_meta(bid) for bid in blocks]
 
     def test_reload_after_compaction_keeps_the_committed_seq(self, tmp_path):
         state = str(tmp_path / "rep")
@@ -588,6 +626,42 @@ class TestServer:
             dev.shutdown()
             session = server.session_for(dev.device_id)
             assert dev.device_metadata_digest() == session.durable_digest()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_session_that_cannot_load_is_refused_and_closed(self, tmp_path):
+        import socket
+
+        from twinfs.device_core import DeviceError
+        from twinfs.harness import build_system
+
+        def serve():
+            server = ReplicaServer(("127.0.0.1", 0), state_root=str(tmp_path))
+            server.register_image(mkfs(256, 32).metadata_image)
+            server.serve_in_thread()
+            return server
+
+        def device(server):
+            return build_system(total_blocks=256, inode_count=32, replica_addr=server.server_address, seed=3).device
+
+        server = serve()
+        try:
+            device_id = device(server).device_id
+        finally:
+            server.shutdown()
+            server.server_close()
+        # The replica restarts over a journal that no longer loads.
+        (tmp_path / device_id.hex() / "journal.bin").write_bytes(bytes(64))
+        server = serve()
+        try:
+            with pytest.raises(DeviceError, match="replica error 3: journal.bin"):
+                device(server)
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(device_id)))
+                kind, seq, body = wire.decode_net(wire.read_net_message(sock.recv))
+                assert (kind, seq, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, 0, ERR_BAD_STATE)
+                assert sock.recv(1) == b""
         finally:
             server.shutdown()
             server.server_close()

@@ -298,7 +298,7 @@ class TestRefreshAndScrub:
         engine.exec_fileop(FileOp(OpCode.WRITE, 0, 0, 4096, (), seq()))
         new = refresh(smap, {1, 3}, acc.read_meta)
         assert new.classify(ds) == CLASS_DATA
-        assert new.generation == smap.generation + 1
+        assert new is smap  # updated in place
 
     def test_truncation_transitions_data_to_unused(self):
         engine, acc, result = fresh()
@@ -316,7 +316,7 @@ class TestRefreshAndScrub:
         smap = build_stencils(acc.read_meta)
         new = refresh(smap, set(), acc.read_meta)
         assert new.classes == smap.classes
-        assert new.generation == smap.generation + 1
+        assert new is smap  # updated in place
 
     def test_scrub_ranges_cover_reclassified_window(self):
         engine, acc, _ = fresh()

@@ -172,7 +172,7 @@ def test_replica_map_equals_rebuild_and_cloud_device_applies_it(steps):
     def checked_answer(kind, seq, body):
         reply = answer(kind, seq, body)
         # After every FILEOP and ABORT (and every other message).
-        assert _same(session._last_stencil, build_stencils(session._read_view))
+        assert _same(session._last_stencil, build_stencils(session.read_meta))
         return reply
 
     session._answer = checked_answer
@@ -197,7 +197,7 @@ def test_rollback_behind_a_validated_op_keeps_that_ops_classes(stencil_source):
     with pytest.raises(VerificationFailedError):
         dev.fsync(fd)
     assert dev.smap.classify(DATA_START) == CLASS_DATA
-    image = dev.store.read_block if stencil_source == "device" else system.session._read_view
+    image = dev.store.read_block if stencil_source == "device" else system.session.read_meta
     assert _same(dev.smap, build_stencils(image))
 
 
@@ -331,5 +331,5 @@ def test_rollback_keeps_a_validated_claim_on_a_block_the_rolled_back_op_marked(s
         dev.fsync(fd)
     assert dev.smap.classify(DATA_START) == CLASS_DATA
     assert dev.store.read_block(DATA_START) == b"A" * 4096
-    image = dev.store.read_block if stencil_source == "device" else system.session._read_view
+    image = dev.store.read_block if stencil_source == "device" else system.session.read_meta
     assert _same(dev.smap, build_stencils(image))

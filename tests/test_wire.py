@@ -153,7 +153,7 @@ class TestOutcomeCodec:
         raw = wire.encode_outcome(op_code, outcome, ok)
         decoded, got_ok = wire.decode_outcome(op_code, raw)
         assert got_ok == ok
-        assert decoded.same_as(outcome)
+        assert decoded == outcome
 
     def test_trailing_bytes_rejected(self):
         raw = wire.encode_outcome(OpCode.FSYNC, OpOutcome())
