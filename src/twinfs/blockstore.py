@@ -1,8 +1,7 @@
 """Fixed-geometry block array owned by the device core.
 
 Backing is an in-memory sparse map holding only non-zero blocks; every other
-block reads as zeros. The optional image file is the raw little-endian
-concatenation of blocks with no header. Checkpoints capture pre-images eagerly
+block reads as zeros. Checkpoints capture pre-images eagerly
 so speculative execution of unvalidated operations can be rolled back exactly.
 The store also tracks which blocks changed since their last save, so a durable
 copy can be kept up to date from deltas.
@@ -11,19 +10,9 @@ copy can be kept up to date from deltas.
 from __future__ import annotations
 
 import hashlib
-import os
 
 BLOCK_SIZE = 4096
 ZERO_BLOCK = bytes(BLOCK_SIZE)
-
-
-def fsync_dir(path: str) -> None:
-    """fsync the directory holding `path`, so a rename into it is durable."""
-    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class OutOfRangeError(Exception):
@@ -152,29 +141,3 @@ class BlockStore:
     def mark_saved(self) -> None:
         """Treat the current contents as saved (a store loaded from its sink)."""
         self._unsaved = set()
-
-    def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.truncate(self.total_blocks * BLOCK_SIZE)
-            for bid in sorted(self._blocks):
-                f.seek(bid * BLOCK_SIZE)
-                f.write(self._blocks[bid])
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path)
-
-    @classmethod
-    def load(cls, path: str) -> "BlockStore":
-        size = os.path.getsize(path)
-        if size % BLOCK_SIZE:
-            raise ValueError("image size is not a multiple of %d" % BLOCK_SIZE)
-        total = size // BLOCK_SIZE
-        blocks: dict[int, bytes] = {}
-        with open(path, "rb") as f:
-            for bid in range(total):
-                data = f.read(BLOCK_SIZE)
-                if data != ZERO_BLOCK:
-                    blocks[bid] = data
-        return cls(total, blocks)

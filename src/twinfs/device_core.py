@@ -18,6 +18,7 @@ import hmac
 import hashlib
 import json
 import os
+import struct
 import uuid
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
@@ -294,66 +295,71 @@ class MemoryDurability:
             else:
                 self.blocks[bid] = data
 
-    def load_store(self):
-        return None if self.blocks is None else dict(self.blocks)
-
     def save_meta(self, meta: dict) -> None:
         self.meta = json.loads(json.dumps(meta))
 
-    def load_meta(self):
-        return self.meta
+    def load(self):
+        return None if self.blocks is None else dict(self.blocks), self.meta
 
 
 class FileDurability:
     """Durable-state sink backed by a state directory.
 
-    `store.img` is a base image and `store.log` a `journal` log over it
-    (PROTOCOL.md, "Device"). A store save appends a BLOCKS record; a
-    metadata save appends a STATE record, fsynced, which commits the BLOCKS
-    records before it. Loading truncates the log after the last STATE
-    record it keeps. Once the log outgrows the base image, a metadata save
-    rewrites the base, then the log as just its STATE record. The first
-    store save of a sink that was not loaded replaces the directory.
+    `store.log` is a `journal.Log` (PROTOCOL.md, "Device"). A store save
+    appends a BLOCKS record; a metadata save appends a STATE record, fsynced,
+    which commits the BLOCKS records before it. Loading truncates the log
+    after the last STATE record it keeps. Once the log has outgrown the
+    store's image, a metadata save rewrites it as a CHECKPOINT record of the
+    store and that STATE record. The first store save of a sink that was not
+    loaded rewrites the log as a CHECKPOINT of what it saves.
     """
 
-    BLOCKS, STATE = b"B", b"S"  # the kind byte that starts a record body
+    CHECKPOINT, BLOCKS, STATE = b"C", b"B", b"S"  # the kind byte that starts a record body
+    _GEOMETRY = struct.Struct("<I")  # a CHECKPOINT's total_blocks
 
     def __init__(self, state_dir: str):
         os.makedirs(state_dir, exist_ok=True)
-        self._img = os.path.join(state_dir, "store.img")
-        self._log = os.path.join(state_dir, "store.log")
-        # Length of store.log; None until loaded or saved, so that the first
-        # save replaces what the directory held.
-        self._log_bytes: int | None = None
+        self._log = journal.Log(os.path.join(state_dir, "store.log"))
+
+    def _checkpoint(self, blocks, total_blocks: int) -> bytes:
+        live = sorted((bid, data) for bid, data in blocks.items() if data != ZERO_BLOCK)
+        return self.CHECKPOINT + self._GEOMETRY.pack(total_blocks) + journal.pack_blocks(live)
 
     def save_store(self, snapshot, total_blocks: int) -> None:
-        if self._log_bytes is None:
-            # The log goes first: a crash before the base is replaced leaves
-            # the old base, a whole image, not the old log over a new base.
-            self._log_bytes = journal.rewrite(self._log, [])
-            BlockStore(total_blocks, snapshot).save(self._img)
+        if not self._log.size:  # neither loaded nor saved: replace the directory's log
+            self._log.rewrite(self._checkpoint(snapshot, total_blocks))
         elif snapshot:
-            self._log_bytes += journal.append(self._log, self.BLOCKS + journal.pack_blocks(snapshot.items()))
+            self._log.append(self.BLOCKS + journal.pack_blocks(snapshot.items()))
 
     def save_meta(self, meta: dict) -> None:
         body = self.STATE + json.dumps(meta).encode()
-        self._log_bytes += journal.append(self._log, body, sync=True)
+        self._log.append(body, sync=True)
         total = meta["total_blocks"]
-        if self._log_bytes > total * BLOCK_SIZE:
-            # The base takes in the whole log before the log is rewritten;
-            # the log replayed over a base that already holds it changes nothing.
-            BlockStore(total, self.load_store()).save(self._img)
-            self._log_bytes = journal.rewrite(self._log, [body], sync=True)
+        if self._log.outgrown(total):
+            self._log.rewrite(self._checkpoint(self.load()[0], total), [body])
 
-    def _replay(self):
-        """The blocks and metadata that the last STATE record kept commits."""
-        if not os.path.exists(self._img):
+    def load(self):
+        """The blocks and metadata that the last STATE record kept commits;
+        (None, None) for a directory without a `store.log`, and DeviceError,
+        with the log left as it is, for one that does not start with an
+        intact CHECKPOINT record (such as the older layout beside a base image)."""
+        if not os.path.exists(self._log.path):
             return None, None
-        store = BlockStore.load(self._img)
-        held, state = {}, {}
+        store, held, state = None, {}, {}
 
+        @wire.decoder
         def parse(body: bytes) -> bool | None:
+            nonlocal store
             kind, rest = body[:1], body[1:]
+            if (kind == self.CHECKPOINT) != (store is None):
+                return False
+            if kind == self.CHECKPOINT:
+                (total,) = self._GEOMETRY.unpack_from(rest)
+                blocks = journal.unpack_blocks(rest[self._GEOMETRY.size :])
+                if any(bid >= total for bid in blocks):
+                    return False
+                store = BlockStore(total, blocks)  # a geometry of 0 raises ValueError
+                return True
             if kind == self.BLOCKS:
                 blocks = journal.unpack_blocks(rest)
                 if any(bid >= store.total_blocks for bid in blocks):
@@ -364,7 +370,8 @@ class FileDurability:
                 meta = json.loads(rest) if kind == self.STATE else None
             except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
                 return False
-            if not isinstance(meta, dict):
+            total = meta.get("total_blocks") if isinstance(meta, dict) else None
+            if type(total) is not int or total != store.total_blocks:  # 16.0 == 16 is no geometry
                 return False
             for bid, data in held.items():
                 store.write_block(bid, data)
@@ -372,14 +379,9 @@ class FileDurability:
             state["meta"] = meta
             return True
 
-        self._log_bytes = journal.replay(self._log, parse) if os.path.exists(self._log) else 0
+        if not self._log.load(parse):
+            raise DeviceError("store.log does not start with an intact checkpoint")
         return store.snapshot(), state.get("meta")
-
-    def load_store(self):
-        return self._replay()[0]
-
-    def load_meta(self):
-        return self._replay()[1]
 
 
 class MetadataGate:
@@ -482,10 +484,9 @@ class DeviceCore:
         meta = meta or {}
         self.device_id = bytes.fromhex(meta["device_id"]) if meta.get("device_id") else uuid.uuid4().bytes
         self.prf_key = bytes.fromhex(meta["prf_key"]) if meta.get("prf_key") else os.urandom(16)
-        # The last seq of the last group commit, 0 before the first (an older
-        # state's [first, last] pair reads as its last); every seq up to it is committed.
-        batch = meta.get("batch", 0)
-        self.batch = batch[-1] if isinstance(batch, list) else batch
+        # The last seq of the last group commit, 0 before the first; every
+        # seq up to it is committed.
+        self.batch = meta.get("batch", 0)
         self.next_seq = self.batch + 1
         self.emergency: dict | None = meta.get("emergency")
         self.last_replica_digest = ""
@@ -507,8 +508,7 @@ class DeviceCore:
 
     @classmethod
     def load(cls, durability, transport, twin, config=None) -> "DeviceCore":
-        meta = durability.load_meta()
-        snapshot = durability.load_store()
+        snapshot, meta = durability.load()
         if meta is None or snapshot is None:
             raise DeviceError("no durable device state to load")
         store = BlockStore(meta["total_blocks"], snapshot)

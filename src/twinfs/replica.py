@@ -58,7 +58,7 @@ class ReplicaSession(MetadataAccessor):
     op being replayed."""
 
     def __init__(self, state_dir: str | None = None):
-        self._path = state_dir and os.path.join(state_dir, "journal.bin")
+        self._log = journal.Log(os.path.join(state_dir, "journal.bin")) if state_dir else None
         self.sb: Superblock | None = None
         # Committed non-zero blocks; every other block is zeros.
         self.committed: dict[int, bytes] = {}
@@ -75,7 +75,6 @@ class ReplicaSession(MetadataAccessor):
         self._last_stencil: stencil.StencilMap | None = None
         self._unsent: set[int] = set()
         self.engine: Engine | None = None
-        self._journal_bytes = self._checkpoint_bytes = 0
 
     # -- bootstrap and durable state -------------------------------------
 
@@ -99,11 +98,10 @@ class ReplicaSession(MetadataAccessor):
     @classmethod
     def load(cls, state_dir: str) -> "ReplicaSession":
         session = cls()  # no journal yet: replayed commits append nothing
-        path = os.path.join(state_dir, "journal.bin")
-        session._journal_bytes = journal.replay(path, session._replay, required=True)
-        if session._journal_bytes is None:
+        log = journal.Log(os.path.join(state_dir, "journal.bin"))
+        if not log.load(session._replay):
             raise BadImageError("journal.bin does not start with an intact checkpoint")
-        session._path = path
+        session._log = log
         session.engine = Engine(session)
         return session
 
@@ -134,7 +132,6 @@ class ReplicaSession(MetadataAccessor):
                 return False
             self.committed = blocks
             self.last_committed, self.expected_seq = seq, seq + 1
-            self._checkpoint_bytes = journal.HEAD.size + len(body)
             return True
         if kind == _J_STAGED:
             self.view.update(blocks)
@@ -146,18 +143,11 @@ class ReplicaSession(MetadataAccessor):
 
     def compact(self) -> None:
         """Rewrite the journal as a checkpoint plus the staged records."""
-        if not self._path:
-            return
-        checkpoint = _J_HEAD.pack(_J_CHECKPOINT, self.last_committed) + journal.pack_blocks(
-            sorted(self.committed.items())
-        )
-        staged = [self._staged_record(seq, delta) for seq, delta in self.staged]
-        self._journal_bytes = journal.rewrite(self._path, [checkpoint] + staged, sync=True)
-        self._checkpoint_bytes = journal.HEAD.size + len(checkpoint)
-
-    def _journal_append(self, body: bytes) -> None:
-        if self._path:
-            self._journal_bytes += journal.append(self._path, body, sync=True)
+        if self._log:
+            checkpoint = _J_HEAD.pack(_J_CHECKPOINT, self.last_committed) + journal.pack_blocks(
+                sorted(self.committed.items())
+            )
+            self._log.rewrite(checkpoint, [self._staged_record(seq, delta) for seq, delta in self.staged])
 
     def close(self) -> None:
         """Nothing to release: each journal write opens and closes the file."""
@@ -198,7 +188,8 @@ class ReplicaSession(MetadataAccessor):
 
     def _stage(self, seq: int, delta) -> None:
         self.staged.append((seq, delta))
-        self._journal_append(self._staged_record(seq, delta))
+        if self._log:
+            self._log.append(self._staged_record(seq, delta), sync=True)
         self.expected_seq = seq + 1
 
     @staticmethod
@@ -212,7 +203,8 @@ class ReplicaSession(MetadataAccessor):
             return True
         if not self.staged or self.staged[-1][0] < seq:
             return False
-        self._journal_append(_J_HEAD.pack(_J_COMMIT, seq))
+        if self._log:
+            self._log.append(_J_HEAD.pack(_J_COMMIT, seq), sync=True)
         while self.staged and self.staged[0][0] <= seq:
             for bid, new in self.staged.pop(0)[1].items():
                 if new == ZERO_BLOCK:
@@ -221,8 +213,7 @@ class ReplicaSession(MetadataAccessor):
                     self.committed[bid] = new
         self._rebuild_view()
         self.last_committed = seq
-        # A fixed rule: compact once the records after the checkpoint outgrow it.
-        if self._journal_bytes > 2 * self._checkpoint_bytes:
+        if self._log and self._log.outgrown(self.sb.total_blocks):
             self.compact()
         return True
 
@@ -238,7 +229,8 @@ class ReplicaSession(MetadataAccessor):
         if keep == len(self.staged):
             # Recovery abort of an op that never arrived: nothing to drop.
             return True
-        self._journal_append(_J_HEAD.pack(_J_ABORT, seq))
+        if self._log:
+            self._log.append(_J_HEAD.pack(_J_ABORT, seq), sync=True)
         dropped = set().union(*(delta for _, delta in self.staged[keep:]))
         del self.staged[keep:]
         self._rebuild_view()

@@ -325,12 +325,13 @@ def test_criterion_8_emergency_file_availability(tmp_path):
         dev.persist()
 
         # restart from durable state, still disconnected
-        store = BlockStore(512, durability.load_store())
+        blocks, meta = durability.load()
+        store = BlockStore(512, blocks)
         transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
         transport.sever()
         revived = DeviceCore(
             store, transport, LocalTwin(), DeviceConfig(emergency_bytes=65536),
-            durability=durability, meta=durability.load_meta(),
+            durability=durability, meta=meta,
         )
         assert revived.emergency_read(0, extent) == payload
         assert revived.metrics.rpc_total == 0

@@ -123,14 +123,3 @@ def test_overlapping_checkpoints_lifo_matches_shadow(seed):
             shadow = snap
     for bid in range(12):
         assert store.read_block(bid) == shadow[bid]
-
-
-def test_save_load_round_trip(tmp_path):
-    store = BlockStore(8)
-    store.write_block(2, filled(0x42))
-    store.write_block(7, filled(0x99))
-    path = str(tmp_path / "img.bin")
-    store.save(path)
-    loaded = BlockStore.load(path)
-    assert loaded.total_blocks == 8
-    assert loaded.digest() == store.digest()

@@ -409,7 +409,7 @@ class TestPipelinedClose:
         dev.close(fd)
         with pytest.raises(VerificationFailedError):
             dev.shutdown()
-        assert sink.load_store() == dev.store.snapshot()
+        assert sink.load()[0] == dev.store.snapshot()
         assert dev.device_metadata_digest() == system.session.durable_digest()
 
 
@@ -1455,12 +1455,13 @@ class TestEmergency:
         # rebuild the device from its durable state, still offline
         from twinfs.blockstore import BlockStore
 
-        store = BlockStore(256, durability.load_store())
+        blocks, meta = durability.load()
+        store = BlockStore(256, blocks)
         transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
         transport.sever()
         dev2 = DeviceCore(
             store, transport, LocalTwin(), DeviceConfig(emergency_bytes=8192),
-            durability=durability, meta=durability.load_meta(),
+            durability=durability, meta=meta,
         )
         assert dev2.emergency_read(0, 64) == b"KEEP-ME!" * 8
 

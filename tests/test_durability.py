@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import twinfs
 from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE, BlockStore, ZERO_BLOCK
-from twinfs.device_core import CrashSignal, DeviceConfig, DeviceCore, FileDurability, MemoryDurability
+from twinfs.device_core import (
+    CrashSignal, DeviceConfig, DeviceCore, DeviceError, FileDurability, MemoryDurability,
+)
 from twinfs.harness import CRASH_POINTS, build_system
 from twinfs.local_twin import LocalTwin
 from twinfs.minifs import OpCode, OpFlag
@@ -64,7 +66,7 @@ def test_load_equals_snapshot_after_every_save(kind, actions):
         dev = system.device
         dev.persist()
         saved = dev.store.snapshot()
-        assert sinks.sink.load_store() == saved
+        assert sinks.sink.load()[0] == saved
         for action in actions:
             if action[0] == "write":
                 _, bid, byte = action
@@ -78,12 +80,12 @@ def test_load_equals_snapshot_after_every_save(kind, actions):
                 if save_between:
                     dev.persist()
                     saved = dev.store.snapshot()
-                    assert sinks.sink.load_store() == saved
+                    assert sinks.sink.load()[0] == saved
                 dev.store.rollback(cp)
             elif action[0] == "save":
                 dev.persist()
                 saved = dev.store.snapshot()
-                assert sinks.sink.load_store() == saved
+                assert sinks.sink.load()[0] == saved
             else:
                 # Restart from durable state; unsaved changes are lost.
                 if action[1]:
@@ -91,7 +93,7 @@ def test_load_equals_snapshot_after_every_save(kind, actions):
                 dev = DeviceCore.load(sinks.sink, dev.transport, LocalTwin(), DeviceConfig(emergency_bytes=0))
                 assert dev.store.snapshot() == saved
         dev.persist()
-        assert sinks.sink.load_store() == dev.store.snapshot()
+        assert sinks.sink.load()[0] == dev.store.snapshot()
     finally:
         system.session.close()
         sinks.close()
@@ -128,7 +130,7 @@ def test_save_hands_over_only_the_changed_blocks():
     dev.store.write_block(201, ZERO_BLOCK)
     dev._persist_store()
     assert sink.bytes == 4 * BLOCK_SIZE
-    assert sink.load_store().get(201) is None
+    assert sink.load()[0].get(201) is None
     dev._persist_store()
     assert sink.bytes == 4 * BLOCK_SIZE
 
@@ -156,7 +158,7 @@ def test_save_hands_over_only_the_changed_blocks():
     assert sink.bytes == sum(map(len, expected)) * BLOCK_SIZE
     changed = {b for b in set(before) | set(after) if before.get(b) != after.get(b)}
     assert changed and changed <= set().union(*expected)
-    assert sink.load_store() == after
+    assert sink.load()[0] == after
 
     # A device loaded from the sink has nothing to save yet. It shares the
     # transport, so the old device first takes the replies it still awaits.
@@ -188,10 +190,10 @@ def test_one_metadata_save_per_group_commit_and_none_per_op():
     dev.fsync(fd)
     assert dev.metrics.fileops_sent - sent == 4
     assert sink.saves == 1  # one group commit
-    assert sink.load_meta()["batch"] == first + 3
-    assert sink.load_store() == dev.store.snapshot()
+    assert sink.load()[1]["batch"] == first + 3
+    assert sink.load()[0] == dev.store.snapshot()
     dev.shutdown()
-    assert sink.load_meta()["batch"] == first + 3
+    assert sink.load()[1]["batch"] == first + 3
     system.session.close()
 
 
@@ -231,15 +233,16 @@ def test_emergency_write_through_a_sink_not_loaded_saves_the_whole_store(tmp_pat
     system.session.close()
     # Restart offline: the store is read through one sink and saved through
     # a fresh one, whose first save replaces the directory.
-    store = BlockStore(256, FileDurability(str(tmp_path)).load_store())
+    blocks, meta = FileDurability(str(tmp_path)).load()
+    store = BlockStore(256, blocks)
     transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
     transport.sever()
     dev = DeviceCore(
         store, transport, LocalTwin(), DeviceConfig(emergency_bytes=8192),
-        durability=FileDurability(str(tmp_path)), meta=FileDurability(str(tmp_path)).load_meta(),
+        durability=FileDurability(str(tmp_path)), meta=meta,
     )
     dev.emergency_write(0, b"KEEP-ME!" * 8)
-    assert FileDurability(str(tmp_path)).load_store() == dev.store.snapshot()
+    assert FileDurability(str(tmp_path)).load()[0] == dev.store.snapshot()
 
 
 def _save(sink, delta, total=16):
@@ -256,18 +259,18 @@ def _record(body):
 
 
 def _log_of_three_saves(tmp_path):
-    """A file sink with a base image and three logged saves, the last one
+    """A file sink with a checkpoint and three logged saves, the last one
     overwriting block 2 and zeroing block 5; returns it, the state before
     the last save, and the offset in store.log of the last save's BLOCKS
     record, which its STATE record follows."""
     sink = FileDurability(str(tmp_path))
-    _save(sink, {2: filled(1), 5: filled(2)})  # the base image
+    _save(sink, {2: filled(1), 5: filled(2)})  # the checkpoint
     _save(sink, {3: filled(3)})
     _save(sink, {2: filled(4), 9: filled(5)})
-    before = sink.load_store()
+    before = sink.load()[0]
     start = os.path.getsize(tmp_path / "store.log")
     _save(sink, {2: filled(6), 5: ZERO_BLOCK})
-    assert sink.load_store() == {2: filled(6), 3: filled(3), 9: filled(5)}
+    assert sink.load()[0] == {2: filled(6), 3: filled(3), 9: filled(5)}
     return sink, before, start
 
 
@@ -278,7 +281,7 @@ def test_torn_last_record_loads_the_save_before(tmp_path):
     assert len(whole) == start + 8 + 1 + 2 * (4 + BLOCK_SIZE) + _STATE_RECORD
     for cut in range(start, len(whole)):
         log.write_bytes(whole[:cut])
-        assert FileDurability(str(tmp_path)).load_store() == before, cut
+        assert FileDurability(str(tmp_path)).load()[0] == before, cut
         assert log.stat().st_size == start  # the torn tail is gone
 
 
@@ -290,11 +293,11 @@ def test_corrupt_crc_drops_the_record(tmp_path, byte):
     raw[start + 4 + byte] ^= 0xFF
     log.write_bytes(bytes(raw))
     sink = FileDurability(str(tmp_path))
-    assert sink.load_store() == before
+    assert sink.load()[0] == before
     assert log.stat().st_size == start
     # Saving goes on from the state it loaded.
     _save(sink, {7: filled(9)})
-    assert FileDurability(str(tmp_path)).load_store() == {**before, 7: filled(9)}
+    assert FileDurability(str(tmp_path)).load()[0] == {**before, 7: filled(9)}
 
 
 @pytest.mark.parametrize("body", [
@@ -308,7 +311,7 @@ def test_record_with_a_valid_crc_and_a_bad_body_is_dropped(tmp_path, body):
     raw = log.read_bytes()[:start]
     # A STATE record after the bad one would commit it, were it accepted.
     log.write_bytes(raw + _record(body) + _record(b'S{"total_blocks": 16}'))
-    assert FileDurability(str(tmp_path)).load_store() == before
+    assert FileDurability(str(tmp_path)).load()[0] == before
     assert log.stat().st_size == start
 
 
@@ -330,40 +333,85 @@ def test_arbitrary_record_body_loads_the_save_before_it(body):
         sink = FileDurability(state)
         _save(sink, {2: filled(1), 5: filled(2)})
         _save(sink, {3: filled(3)})
-        before = sink.load_store(), sink.load_meta()
+        before = sink.load()
         with open(os.path.join(state, "store.log"), "ab") as log:
             log.write(_record(body))
         sink = FileDurability(state)
-        assert (sink.load_store(), sink.load_meta()) == before
+        assert sink.load() == before
 
 
 def test_store_save_without_a_metadata_save_is_dropped(tmp_path):
     sink, before, start = _log_of_three_saves(tmp_path)
-    after = sink.load_store()
+    after = sink.load()[0]
     sink.save_store({4: filled(8)}, 16)  # no STATE record commits it
-    assert FileDurability(str(tmp_path)).load_meta() == {"total_blocks": 16}
+    assert FileDurability(str(tmp_path)).load()[1] == {"total_blocks": 16}
     reloaded = FileDurability(str(tmp_path))
-    assert reloaded.load_store() == after
+    assert reloaded.load()[0] == after
     # The uncommitted tail was truncated, so a later STATE record cannot
     # commit it.
     _save(reloaded, {6: filled(6)})
-    assert FileDurability(str(tmp_path)).load_store() == {**after, 6: filled(6)}
+    assert FileDurability(str(tmp_path)).load()[0] == {**after, 6: filled(6)}
 
 
 def test_log_is_folded_into_the_base_once_it_outgrows_it(tmp_path):
     sink = FileDurability(str(tmp_path))
-    _save(sink, {}, 4)  # a 16 KiB base
+    _save(sink, {}, 4)  # a checkpoint of an empty 16 KiB store
     expected = {}
-    state = 8 + 1 + len(json.dumps({"total_blocks": 4}))
     for i in range(1, 5):
         _save(sink, {i % 4: filled(i)}, 4)
         expected[i % 4] = filled(i)
     # Four one-block records (4 x 4109 bytes) and their STATE records
-    # outgrow the base: it was rewritten and the log holds the last STATE.
-    assert os.path.getsize(tmp_path / "store.log") == state
-    assert BlockStore.load(str(tmp_path / "store.img")).snapshot() == expected
-    assert FileDurability(str(tmp_path)).load_store() == expected
-    assert FileDurability(str(tmp_path)).load_meta() == {"total_blocks": 4}
+    # outgrow the image: the log was rewritten as a checkpoint of the store
+    # and the last STATE record.
+    checkpoint = b"C" + (4).to_bytes(4, "little") + journal.pack_blocks(sorted(expected.items()))
+    state = b"S" + json.dumps({"total_blocks": 4}).encode()
+    assert (tmp_path / "store.log").read_bytes() == _record(checkpoint) + _record(state)
+    assert FileDurability(str(tmp_path)).load() == (expected, {"total_blocks": 4})
+
+
+@pytest.mark.parametrize("first", ["blocks", "state", "empty"])
+def test_directory_in_the_older_layout_is_refused_and_left_as_it_is(tmp_path, first):
+    # The older layout: a raw base image beside a log whose first record is
+    # a BLOCKS or STATE record, or an empty log (its first save was cut
+    # after emptying the log).
+    (tmp_path / "store.img").write_bytes(filled(1) + bytes(3 * BLOCK_SIZE))
+    log = str(tmp_path / "store.log")
+    open(log, "wb").close()
+    if first == "blocks":
+        journal.append(log, b"B" + journal.pack_blocks([(2, filled(2))]))
+    if first != "empty":
+        journal.append(log, b'S{"total_blocks": 4}')
+    before = {name: (tmp_path / name).read_bytes() for name in ("store.img", "store.log")}
+    transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
+    with pytest.raises(DeviceError, match="store.log does not start with an intact checkpoint"):
+        DeviceCore.load(FileDurability(str(tmp_path)), transport, LocalTwin())
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+def test_state_record_of_another_geometry_ends_the_load(tmp_path):
+    # A STATE record whose geometry is not the checkpoint's, after a save
+    # that wrote blocks past that geometry, is refused like a corrupt one.
+    system = build_system(total_blocks=32, inode_count=INODES, durability=FileDurability(str(tmp_path)))
+    dev = system.device
+    fd = dev.open("f", OpFlag.CREATE)
+    dev.write(fd, filled(7) * 6)
+    dev.fsync(fd)
+    assert max(dev.store.snapshot()) >= 8
+    log = tmp_path / "store.log"
+    start = log.stat().st_size
+    meta = {"device_id": dev.device_id.hex(), "prf_key": dev.prf_key.hex(), "batch": dev.batch,
+            "emergency": dev.emergency, "total_blocks": 8}
+    journal.append(str(log), b"S" + json.dumps(meta).encode())
+    system.session.close()
+    transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
+    transport.sever()
+    revived = DeviceCore.load(
+        FileDurability(str(tmp_path)), transport, LocalTwin(), DeviceConfig(emergency_bytes=0)
+    )
+    assert revived.store.total_blocks == 32
+    assert revived.store.snapshot() == dev.store.snapshot()
+    assert revived.batch == dev.batch
+    assert log.stat().st_size == start
 
 
 def test_first_save_of_a_sink_not_loaded_replaces_the_directory(tmp_path):
@@ -372,7 +420,7 @@ def test_first_save_of_a_sink_not_loaded_replaces_the_directory(tmp_path):
     _save(old, {2: filled(2)}, 8)
     new = FileDurability(str(tmp_path))
     _save(new, {3: filled(3)}, 8)
-    assert FileDurability(str(tmp_path)).load_store() == {3: filled(3)}
+    assert FileDurability(str(tmp_path)).load()[0] == {3: filled(3)}
 
 
 _CHILD = r"""
@@ -437,9 +485,9 @@ def test_killed_mid_save_reloads_a_whole_save(tmp_path, saves):
     rest = _kill_after(_DELTA + _CHILD, [str(tmp_path)], saves)
     last = saves - 1 + len(rest)
     sink = FileDurability(str(tmp_path))
-    meta = sink.load_meta()
+    meta = sink.load()[1]
     assert meta["save"] in (last, last + 1)
-    assert sink.load_store() == _state_after(meta["save"])
+    assert sink.load()[0] == _state_after(meta["save"])
 
 
 def _revive(device_dir, replica_dir):
@@ -530,6 +578,38 @@ def test_a_group_commit_of_four_ops_sends_and_journals_one_commit(tmp_path, monk
     assert appended == [(_STAGED, seq) for seq in range(batch - 3, batch + 1)] + [(_COMMIT, batch)]
     assert system.session.last_committed == batch
     assert system.device.device_metadata_digest() == system.session.durable_digest()
+
+
+def test_replica_compacts_once_per_image_of_records(tmp_path, monkeypatch):
+    # Fifty fsynced four-write group commits on a 256-block (1 MiB) image:
+    # the replica compacts once per MiB appended, not at every commit, and
+    # after each group commit journal.bin is within its checkpoint, the
+    # image and one record.
+    replica_dir = str(tmp_path / "replica")
+    path = os.path.join(replica_dir, "journal.bin")
+    system = build_system(
+        total_blocks=256, inode_count=INODES, emergency_bytes=0, replica_state_dir=replica_dir,
+    )
+    session, image = system.session, 256 * BLOCK_SIZE
+    compactions, appended = [], []
+    compact, append = session.compact, journal.append
+
+    def counted_append(log, body, sync=False):
+        appended.append(append(log, body, sync))
+        return appended[-1]
+
+    monkeypatch.setattr(session, "compact", lambda: (compactions.append(1), compact()))
+    monkeypatch.setattr(journal, "append", counted_append)
+    dev = system.device
+    for n in range(50):
+        fd = dev.open("f%d" % (n % 3), OpFlag.CREATE | OpFlag.TRUNC)
+        for i in range(4):
+            dev.write(fd, filled((4 * n + i) % 250 + 1))
+        dev.fsync(fd)
+        dev.close(fd)
+        assert os.path.getsize(path) <= session._log.checkpoint + image + max(appended), n
+    assert len(compactions) <= -(-sum(appended) // image)
+    system.session.close()
 
 
 @pytest.mark.parametrize("cut", ["before", "torn", "after"])

@@ -403,18 +403,28 @@ class TestJournalPersistence:
             journal.append(state + "/journal.bin", body)
             assert fingerprint(ReplicaSession.load(state)) == before
 
-    def test_journal_compacts_itself(self, tmp_path):
+    def test_journal_compacts_itself(self, tmp_path, monkeypatch):
+        # A commit compacts exactly when the records after the checkpoint
+        # are longer than the geometry's image (256 KiB at 64 blocks).
         state = str(tmp_path / "rep")
-        session = fresh_session(state_dir=state)
+        session = fresh_session(state_dir=state, total=64)
+        image = 64 * BLOCK_SIZE
+        path = tmp_path / "rep" / "journal.bin"
+
+        def records():
+            """Bytes of the records after the checkpoint."""
+            raw = path.read_bytes()
+            return len(raw) - journal.HEAD.size - journal.HEAD.unpack_from(raw)[0]
+
+        outgrown, compact = [], session.compact
+        monkeypatch.setattr(session, "compact", lambda: (outgrown.append(records()), compact()))
         session.replay_fileop(op_open(1, 0, "f"))
         session.commit(1)
         for seq in range(2, 201):
             session.replay_fileop(op_write(seq, 0, 100))
             assert session.commit(seq)
-        path = tmp_path / "rep" / "journal.bin"
-        raw = path.read_bytes()
-        checkpoint = record_offsets(raw)[1]
-        assert len(raw) < 3 * checkpoint
+            assert records() <= image, seq
+        assert outgrown and all(size > image for size in outgrown)
         revived = ReplicaSession.load(state)
         assert revived.durable_digest() == session.durable_digest()
         assert (revived.expected_seq, revived.last_committed) == (201, 200)
