@@ -225,6 +225,9 @@ class PendingOp:
     dirtied: set[int] = field(default_factory=set)
     marked: set[int] = field(default_factory=set)  # unused blocks the gate made metadata
     local: OpOutcome | None = None
+    # The local twin's TRACE bytes with the ok-to-commit bit set: the start
+    # of the TRACE_RESP body of a replica that agrees with it.
+    agreed: bytes | None = None
     cloud: OpOutcome | None = None
     local_violation: str | None = None
     pages: list[tuple[int, int]] = field(default_factory=list)
@@ -370,8 +373,7 @@ class FileDurability:
                 meta = json.loads(rest) if kind == self.STATE else None
             except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
                 return False
-            total = meta.get("total_blocks") if isinstance(meta, dict) else None
-            if type(total) is not int or total != store.total_blocks:  # 16.0 == 16 is no geometry
+            if not _sound_state(meta, store.total_blocks):
                 return False
             for bid, data in held.items():
                 store.write_block(bid, data)
@@ -382,6 +384,50 @@ class FileDurability:
         if not self._log.load(parse):
             raise DeviceError("store.log does not start with an intact checkpoint")
         return store.snapshot(), state.get("meta")
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0  # a bool or 16.0 is no count
+
+
+def _hex(value, size: int = 16) -> bool:
+    return isinstance(value, str) and len(value) == 2 * size and all(c in "0123456789abcdef" for c in value)
+
+
+def _sound_state(meta, total_blocks: int) -> bool:
+    """Whether a STATE record is a store of `total_blocks` whose other fields
+    `DeviceCore` reads are absent or of the type and shape `_persist_meta`
+    writes."""
+    total = meta.get("total_blocks") if isinstance(meta, dict) else None
+    if not _count(total) or total != total_blocks:
+        return False
+    checks = {
+        "batch": _count,
+        "device_id": _hex,
+        "prf_key": _hex,
+        "emergency": lambda value: value is None or _sound_emergency(value, total_blocks),
+    }
+    return all(check(meta[name]) for name, check in checks.items() if name in meta)
+
+
+def _sound_emergency(emergency, total_blocks: int) -> bool:
+    """The extent `_create_emergency` lays out: an in-range block per page,
+    and segments of `_EMERGENCY_SEGMENT_PAGES` pages but the last."""
+    if not isinstance(emergency, dict):
+        return False
+    blocks, segments = emergency.get("blocks"), emergency.get("segments")
+    if not (isinstance(blocks, list) and isinstance(segments, list)):
+        return False
+    if not all(isinstance(s, dict) and isinstance(s.get("tokens"), list) for s in segments):
+        return False
+    full = DeviceCore._EMERGENCY_SEGMENT_PAGES
+    sizes = [min(full, len(blocks) - page) * BLOCK_SIZE for page in range(0, len(blocks), full)]
+    return (
+        _count(emergency.get("size")) and emergency["size"] == len(blocks) * BLOCK_SIZE
+        and all(_count(bid) and bid < total_blocks for bid in blocks)
+        and [s.get("size") for s in segments] == sizes
+        and all(_count(s.get("inode")) and all(_hex(t, TOKEN_LEN) for t in s["tokens"]) for s in segments)
+    )
 
 
 class MetadataGate:
@@ -671,6 +717,7 @@ class DeviceCore:
             )
             blob = wire.accept_message(self.channel.delegate(frames), wire.FrameKind.TRACE, pending.seq)
             pending.local, _ = wire.decode_outcome(pending.op.op, blob)
+            pending.agreed = bytes((blob[0] | wire.OUTCOME_OK_TO_COMMIT,)) + blob[1:]
         except wire.DecodeError as exc:
             pending.local_violation = str(exc)
         finally:
@@ -806,43 +853,52 @@ class DeviceCore:
 
     # -- verdicts -------------------------------------------------------------------
 
-    def _judge(self, pending: PendingOp, cloud: OpOutcome, ok: bool) -> Verdict:
-        if pending.local_violation or pending.local is None:
-            return Verdict(LOCAL_REJECT)
-        if pending.local.status == Status.REJECTED:
-            return Verdict(LOCAL_REJECT)
-        if cloud.status == Status.SEQ_GAP or not ok:
-            return Verdict(CLOUD_REJECT)
-        verdict = verify_traces(pending.local.trace, cloud.trace)
-        if not verdict.is_match:
-            return verdict
-        if pending.local != cloud:
-            return Verdict(MISMATCH, -1)
-        return verdict
+    def _judge(
+        self, pending: PendingOp, body: bytes | None, refusal: str | None
+    ) -> tuple[Verdict, OpOutcome | None, list | None]:
+        """The verdict on an op's TRACE_RESP body, None for a refusal `refusal`
+        may explain, with the replica's outcome and stencil delta in it.
 
-    def _handle_trace_resp(self, pending: PendingOp, body: bytes | None, refusal: str | None) -> None:
-        """Judge an op on its TRACE_RESP body, None for a refusal `refusal` may explain."""
+        A body that starts with the local twin's TRACE bytes, ok-to-commit
+        set, holds the twin's outcome: only any other body is decoded and
+        compared with it.
+        """
         try:
             if body is None:
                 raise wire.DecodeError("replica refused seq %d" % pending.seq)
-            cloud, ok, offset = wire.decode_outcome_at(pending.op.op, body)
+            agreed = pending.agreed
+            if agreed is not None and body.startswith(agreed):
+                cloud, ok, offset = pending.local, True, len(agreed)
+            else:
+                cloud, ok, offset = wire.decode_outcome_at(pending.op.op, body)
             delta = None
             if self.config.stencil_source == "cloud" and offset < len(body):
                 delta, offset = wire.decode_stencil_delta(body, offset)
             if offset != len(body):
                 raise wire.DecodeError("trailing bytes after the outcome")
         except wire.DecodeError:
-            self.metrics.mismatches += 1
-            self._fail_pending(pending, Verdict(CLOUD_REJECT, detail=refusal), None)
-            return
-        pending.cloud = cloud
-        verdict = self._judge(pending, cloud, ok)
+            return Verdict(CLOUD_REJECT, detail=refusal), None, None
+        local = pending.local
+        if pending.local_violation or local is None or local.status == Status.REJECTED:
+            verdict = Verdict(LOCAL_REJECT)
+        elif cloud.status == Status.SEQ_GAP or not ok:
+            verdict = Verdict(CLOUD_REJECT)
+        elif cloud is local:
+            verdict = Verdict(MATCH)
+        else:
+            verdict = verify_traces(local.trace, cloud.trace)
+            if verdict.is_match and local != cloud:
+                verdict = Verdict(MISMATCH, -1)
+        return verdict, cloud, delta
+
+    def _handle_trace_resp(self, pending: PendingOp, body: bytes | None, refusal: str | None) -> None:
+        verdict, pending.cloud, delta = self._judge(pending, body, refusal)
         if verdict.is_match:
             self.metrics.matches += 1
-            self._apply_match(pending, cloud, delta)
+            self._apply_match(pending, pending.cloud, delta)
         else:
             self.metrics.mismatches += 1
-            self._fail_pending(pending, verdict, cloud)
+            self._fail_pending(pending, verdict, pending.cloud)
 
     def _apply_match(self, pending: PendingOp, cloud: OpOutcome, delta) -> None:
         pending.verdict = Verdict(MATCH)

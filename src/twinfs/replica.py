@@ -18,6 +18,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 
 from twinfs import journal, stencil, wire
 from twinfs.blockstore import BLOCK_SIZE, ZERO_BLOCK
@@ -307,9 +308,25 @@ def _error(seq: int, code: int, message: str) -> bytes:
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    """One device connection. A peer may idle between messages for as long
+    as it likes, but holds the handler to at most `wire.NET_REQUEST_MAX`
+    bytes a message and `server.read_timeout` seconds from a message's first
+    byte to its last; past either bound it is closed."""
+
     def setup(self):
         # Replies are small writes the device waits on; send them at once.
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._deadline: float | None = None
+
+    def _recv(self, n: int) -> bytes:
+        chunk = self.request.recv(n)
+        if self._deadline is None:  # the message has begun
+            self._deadline = time.monotonic() + self.server.read_timeout
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("message unfinished after %s s" % self.server.read_timeout)
+        self.request.settimeout(left)
+        return chunk
 
     def handle(self):
         server: ReplicaServer = self.server  # type: ignore[assignment]
@@ -318,7 +335,9 @@ class _Handler(socketserver.BaseRequestHandler):
             while True:
                 raw = None
                 try:
-                    raw = wire.read_net_message(self.request.recv)
+                    raw = wire.read_net_message(self._recv, wire.NET_REQUEST_MAX)
+                    self._deadline = None
+                    self.request.settimeout(None)
                     if session is None:
                         kind, _, body = wire.decode_net(raw)
                         if kind != wire.NetKind.HELLO:
@@ -344,6 +363,7 @@ class ReplicaServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    read_timeout = 10.0  # seconds a peer has to finish a message it has begun
 
     def __init__(self, listen_addr: tuple[str, int], state_root: str | None = None):
         super().__init__(listen_addr, _Handler)

@@ -318,13 +318,21 @@ def decode_net(raw: bytes) -> tuple[NetKind, int, bytes]:
     return NetKind(kind), seq, bytes(raw[_NET_HEAD.size :])
 
 
-def read_net_message(sock_read) -> bytes:
+# The largest length prefix of a device -> replica message: a FILEOP for an
+# OPEN whose path has 255 tokens after the first.
+NET_REQUEST_MAX = _NET_HEAD.size - 4 + _FILEOP.size + _U8.size + 255 * TOKEN_LEN
+
+
+def read_net_message(sock_read, limit: int | None = None) -> bytes:
     """Read one length-prefixed message via sock_read(n) -> bytes, asking
-    for at most READ_CHUNK_MAX bytes per call whatever the prefix claims."""
+    for at most READ_CHUNK_MAX bytes per call whatever the prefix claims;
+    a prefix above `limit` is refused before its body is read."""
     prefix = _read_exact(sock_read, 4)
     (length,) = struct.unpack("<I", prefix)
     if length < 9:
         raise DecodeError("net message shorter than its header")
+    if limit is not None and length > limit:
+        raise DecodeError("net message of %d bytes, above %d" % (length, limit))
     return prefix + _read_exact(sock_read, length)
 
 

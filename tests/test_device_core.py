@@ -1,12 +1,16 @@
+import sys
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinfs import harness, wire
+from twinfs import harness, stencil, wire
 from twinfs.blockstore import BLOCK_SIZE, OutOfRangeError
 from twinfs.device_core import (
     BadFdError,
+    CLOUD_REJECT,
     DeviceConfig,
     DeviceCore,
     LOCAL_REJECT,
@@ -1410,6 +1414,200 @@ class TestHostileReplicaResponses:
 
         with pytest.raises(DeviceError, match="malformed stencil map"):
             self._cloud_device(image, class_seven)
+
+
+@pytest.fixture
+def core_decodes(monkeypatch):
+    """The replica outcomes the device core decodes: each call of
+    wire.decode_outcome_at made from twinfs.device_core. The twin's own TRACE
+    is decoded through wire.decode_outcome, so it is not counted."""
+    calls = []
+    decode = wire.decode_outcome_at
+
+    def counting(*args):
+        if sys._getframe(1).f_globals["__name__"] == "twinfs.device_core":
+            calls.append(args[0])
+        return decode(*args)
+
+    monkeypatch.setattr(wire, "decode_outcome_at", counting)
+    return calls
+
+
+class GapOnWrite(EvilBehavior):
+    def on_outcome(self, op, outcome):
+        if op.op == OpCode.WRITE:
+            outcome.status = Status.SEQ_GAP
+        return outcome
+
+
+@pytest.fixture(scope="module")
+def honest_replies():
+    """A device and the (op, honest TRACE_RESP body) pairs of a short
+    session of every delegated op kind, each op already judged."""
+    system = build_system(total_blocks=256, inode_count=32)
+    dev = system.device
+    replies = []
+    handle = dev._handle_trace_resp
+
+    def recording(pending, body, refusal):
+        replies.append((pending, body))
+        handle(pending, body, refusal)
+
+    dev._handle_trace_resp = recording
+    fd = dev.open("f", OpFlag.CREATE)
+    dev.write(fd, b"i" * 40)  # inline
+    dev.write(fd, b"b" * 6000)  # promoted into blocks
+    dev.lseek(fd, 0)
+    dev.close(fd)
+    dev.drain_all()
+    dev.cache.clear_all()
+    dev.memo.entries.clear()  # so the reads are delegated
+    fd = dev.open("f", OpFlag.UNTRUSTED)
+    dev.read(fd, 3000)
+    dev.read(fd, 3000)
+    dev.fsync(fd)
+    dev.close(fd)
+    dev.fsync(dev.open("g", OpFlag.CREATE))
+    dev.drain_all()
+    assert {p.op.op for p, _ in replies} >= {OpCode.OPEN, OpCode.WRITE, OpCode.READ, OpCode.CLOSE}
+    return dev, tuple(replies)
+
+
+@st.composite
+def _damaged(draw, body):
+    """body with bytes flipped, cut off or added."""
+    how = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if how == "truncate":
+        return body[: draw(st.integers(0, len(body) - 1))]
+    if how == "extend":
+        return body + draw(st.binary(min_size=1, max_size=8))
+    damaged = bytearray(body)
+    for _ in range(draw(st.integers(1, 3))):
+        damaged[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(damaged)
+
+
+class TestVerdictByBytes:
+    """A TRACE_RESP body that is the local twin's TRACE with ok-to-commit set
+    is judged by one comparison; any other body is decoded and compared."""
+
+    @staticmethod
+    def _device(respond, stencil_source="device", twin=None):
+        """A device whose replica answers through respond(session, raw)."""
+        from twinfs.blockstore import BlockStore
+        from twinfs.replica import ReplicaSession
+
+        image = mkfs(256, 32)
+        session = ReplicaSession.bootstrap(image.metadata_image)
+        dev = DeviceCore(
+            BlockStore(256, dict(image.full_blocks)),
+            DelayedTransport(LoopbackTransport(lambda raw: respond(session, raw)), 0),
+            twin or LocalTwin(),
+            DeviceConfig(emergency_bytes=0, stencil_source=stencil_source),
+        )
+        return dev, session
+
+    @staticmethod
+    def _trace_resps(change):
+        """A replica answer that passes each TRACE_RESP body through change(body, op)."""
+
+        def respond(session, raw):
+            kind, seq, body = wire.decode_net(session.handle_message(raw))
+            if kind == wire.NetKind.TRACE_RESP:
+                body = change(body, wire.decode_fileop(wire.decode_net(raw)[2]).op)
+            return wire.encode_net(kind, seq, body)
+
+        return respond
+
+    def test_honest_run_decodes_no_replica_outcome(self, system, core_decodes):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"i" * 40)
+        for n in range(1, 6):
+            dev.write(fd, bytes([n]) * 3000)
+        dev.lseek(fd, 0)
+        dev.fsync(fd)
+        dev.close(fd)
+        dev.fsync(dev.open("f"))
+        dev.drain_all()
+        assert dev.metrics.matches == dev.metrics.fileops_sent >= 8
+        assert dev.metrics.mismatches == 0
+        assert core_decodes == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_reply_gets_the_verdict_of_a_decoded_one(self, honest_replies, data):
+        dev, replies = honest_replies
+        pending, body = data.draw(st.sampled_from(replies))
+        body = data.draw(_damaged(body))
+        verdict = dev._judge(pending, body, None)[0]
+        decoded = dev._judge(replace(pending, agreed=None), body, None)[0]
+        assert (verdict.kind, verdict.divergence) == (decoded.kind, decoded.divergence)
+
+    def test_honest_replies_match_by_their_bytes(self, honest_replies):
+        dev, replies = honest_replies
+        for pending, body in replies:
+            assert body == pending.agreed
+            assert dev._judge(pending, body, None) == (Verdict(MATCH), pending.local, None)
+
+    def test_reply_that_decodes_equal_but_is_not_canonical_matches(self, core_decodes):
+        extra_flag = self._trace_resps(lambda body, op: bytes([body[0] | 0x80]) + body[1:])
+        dev, session = self._device(extra_flag)
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"x" * 5000)
+        dev.fsync(fd)
+        assert dev.metrics.matches == dev.metrics.fileops_sent == len(core_decodes)
+        assert dev.metrics.mismatches == 0
+        assert dev.device_metadata_digest() == session.durable_digest()
+
+    def test_seq_gap_both_twins_report_is_still_a_cloud_reject(self, core_decodes):
+        def gap(body, op):
+            if op != OpCode.WRITE:
+                return body
+            outcome, ok = wire.decode_outcome(op, body)
+            return wire.encode_outcome(op, replace(outcome, status=Status.SEQ_GAP), ok)
+
+        dev, session = self._device(self._trace_resps(gap), twin=LocalTwin(GapOnWrite()))
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.fsync(fd)
+        dev.write(fd, b"g" * 100)
+        pending = dev.pending[-1]
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert pending.local.status == Status.SEQ_GAP
+        assert pending.verdict == Verdict(CLOUD_REJECT)
+        assert core_decodes == []  # judged by its bytes
+        assert dev.device_metadata_digest() == session.durable_digest()
+
+    def test_trailing_bytes_after_an_equal_outcome_are_a_cloud_reject(self):
+        armed = {"on": False}
+        dev, session = self._device(self._trace_resps(lambda body, op: body + b"\x00" * armed["on"]))
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.fsync(fd)
+        armed["on"] = True
+        dev.write(fd, b"t" * 100)
+        pending = dev.pending[-1]
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert pending.verdict == Verdict(CLOUD_REJECT)
+        assert dev.device_metadata_digest() == session.durable_digest()
+
+    def test_cloud_stencil_delta_after_an_equal_outcome_is_applied(self, core_decodes):
+        deltas = []
+
+        def keep_delta(body, op):
+            _, _, offset = wire.decode_outcome_at(op, body)
+            deltas.append(wire.decode_stencil_delta(body, offset)[0])
+            return body
+
+        dev, session = self._device(self._trace_resps(keep_delta), stencil_source="cloud")
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"d" * 9000)  # two blocks the replica's delta classes as data
+        dev.fsync(fd)
+        named = {bid for delta in deltas for bid, _, _ in delta}
+        assert any(cls == stencil.CLASS_DATA for delta in deltas for _, cls, _ in delta)
+        assert all(dev.smap.entry(bid) == session._last_stencil.entry(bid) for bid in named)
+        assert dev.metrics.mismatches == 0 and core_decodes == []
 
 
 class TestEmergency:

@@ -388,29 +388,47 @@ def test_directory_in_the_older_layout_is_refused_and_left_as_it_is(tmp_path, fi
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
-def test_state_record_of_another_geometry_ends_the_load(tmp_path):
-    # A STATE record whose geometry is not the checkpoint's, after a save
-    # that wrote blocks past that geometry, is refused like a corrupt one.
-    system = build_system(total_blocks=32, inode_count=INODES, durability=FileDurability(str(tmp_path)))
+@pytest.mark.parametrize("field, mangle", [
+    ("total_blocks", lambda meta: 8),
+    ("total_blocks", lambda meta: 32.0),
+    ("batch", lambda meta: "x"),
+    ("batch", lambda meta: True),
+    ("batch", lambda meta: -1),
+    ("device_id", lambda meta: "zz"),
+    ("prf_key", lambda meta: meta["prf_key"].upper()),
+    ("emergency", lambda meta: 5),
+    ("emergency", lambda meta: {**meta["emergency"], "blocks": [BLOCKS] * 2}),
+    ("emergency", lambda meta: {**meta["emergency"], "size": 3 * BLOCK_SIZE}),
+    ("emergency", lambda meta: {**meta["emergency"], "segments": [{"inode": 1}]}),
+], ids=[
+    "total_blocks-other", "total_blocks-float", "batch-str", "batch-bool", "batch-negative",
+    "device_id-not-hex", "prf_key-upper", "emergency-int", "emergency-block-out-of-range",
+    "emergency-size", "emergency-segment",
+])
+def test_state_record_of_another_shape_ends_the_load(tmp_path, field, mangle):
+    # A CRC-valid STATE record of another geometry, after a save that wrote
+    # blocks past that geometry, or with a field DeviceCore could not read,
+    # is refused like a corrupt one: the load ends at the save before it.
+    sink = FileDurability(str(tmp_path))
+    system = build_system(total_blocks=BLOCKS, inode_count=INODES, durability=sink, emergency_bytes=8192)
     dev = system.device
     fd = dev.open("f", OpFlag.CREATE)
     dev.write(fd, filled(7) * 6)
     dev.fsync(fd)
-    assert max(dev.store.snapshot()) >= 8
+    dev.drain_all()
+    blocks, meta = sink.load()
+    assert max(blocks) >= 8
     log = tmp_path / "store.log"
     start = log.stat().st_size
-    meta = {"device_id": dev.device_id.hex(), "prf_key": dev.prf_key.hex(), "batch": dev.batch,
-            "emergency": dev.emergency, "total_blocks": 8}
-    journal.append(str(log), b"S" + json.dumps(meta).encode())
+    journal.append(str(log), b"S" + json.dumps({**meta, field: mangle(meta)}).encode())
     system.session.close()
     transport = DelayedTransport(LoopbackTransport(lambda raw: raw), 0)
     transport.sever()
     revived = DeviceCore.load(
         FileDurability(str(tmp_path)), transport, LocalTwin(), DeviceConfig(emergency_bytes=0)
     )
-    assert revived.store.total_blocks == 32
-    assert revived.store.snapshot() == dev.store.snapshot()
-    assert revived.batch == dev.batch
+    assert revived.store.total_blocks == BLOCKS and revived.store.snapshot() == blocks
+    assert (revived.batch, revived.device_id, revived.emergency) == (dev.batch, dev.device_id, dev.emergency)
     assert log.stat().st_size == start
 
 

@@ -603,7 +603,10 @@ class TestServer:
         server.serve_in_thread()
         try:
             with socket.create_connection(server.server_address, timeout=10) as sock:
-                sock.sendall(b"\xff\xff\xff\xff")  # a 4 GiB message, then a close
+                sock.sendall(b"\xff\xff\xff\xff")  # a 4 GiB message: refused unread
+                kind, seq, body = wire.decode_net(wire.read_net_message(sock.recv))
+                assert (kind, seq, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, 0, ERR_BAD_MESSAGE)
+                assert sock.recv(1) == b""
             with socket.create_connection(server.server_address, timeout=10) as sock:
                 sock.sendall(wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(b"\x05" * 16)))
                 kind, _, body = wire.decode_net(wire.read_net_message(sock.recv))
@@ -636,6 +639,41 @@ class TestServer:
             dev.shutdown()
             session = server.session_for(dev.device_id)
             assert dev.device_metadata_digest() == session.durable_digest()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_stalled_message_is_closed_and_an_idle_peer_kept(self):
+        """A message unfinished read_timeout after its first byte is closed
+        without a reply; a connection idle between messages for longer is
+        kept; an honest device on another connection converges."""
+        import socket
+        import time
+
+        from twinfs.harness import build_system
+
+        server = ReplicaServer(("127.0.0.1", 0))
+        server.read_timeout = 0.5
+        server.register_image(mkfs(256, 32).metadata_image)
+        server.serve_in_thread()
+        hello = wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(b"\x06" * 16))
+        connect = lambda: socket.create_connection(server.server_address, timeout=10)
+        try:
+            with connect() as idle, connect() as stalled:
+                start = time.monotonic()
+                stalled.sendall(hello[:10])
+                assert stalled.recv(1) == b""
+                assert server.read_timeout <= time.monotonic() - start < 5
+                system = build_system(total_blocks=256, inode_count=32, replica_addr=server.server_address)
+                dev = system.device
+                fd = dev.open("f", OpFlag.CREATE)
+                dev.write(fd, b"x" * 5000)
+                dev.fsync(fd)
+                dev.close(fd)
+                dev.shutdown()
+                assert dev.device_metadata_digest() == server.session_for(dev.device_id).durable_digest()
+                idle.sendall(hello)
+                assert wire.decode_net(wire.read_net_message(idle.recv))[0] == wire.NetKind.ACK
         finally:
             server.shutdown()
             server.server_close()

@@ -270,6 +270,28 @@ class TestNetCodec:
         assert asked[0] == 4 and max(asked) == 64 * 1024
         assert cursor[0] == len(stream)
 
+    def test_stream_reader_limit_is_the_largest_device_request(self):
+        """The largest device -> replica message is an OPEN of a 256-token path;
+        a reader given that limit takes it and refuses one byte more unread."""
+        op = FileOp(OpCode.OPEN, 0, 0, 0, tuple(bytes([n]) * 16 for n in range(256)), 1)
+        largest = wire.encode_net(wire.NetKind.FILEOP, 1, wire.encode_fileop(op))
+        assert len(largest) - 4 == wire.NET_REQUEST_MAX
+        over = struct.pack("<I", wire.NET_REQUEST_MAX + 1) + largest[4:] + b"\x00"
+        for raw, taken in ((largest, True), (over, False)):
+            cursor = [0]
+
+            def read(n):
+                out = raw[cursor[0] : cursor[0] + n]
+                cursor[0] += len(out)
+                return out
+
+            if taken:
+                assert wire.read_net_message(read, wire.NET_REQUEST_MAX) == largest
+            else:
+                with pytest.raises(wire.DecodeError, match="above"):
+                    wire.read_net_message(read, wire.NET_REQUEST_MAX)
+                assert cursor[0] == 4
+
     def test_hello_round_trip(self):
         body = wire.encode_hello(b"\x01" * 16, cloud_stencils=True)
         assert wire.decode_hello(body) == (wire.HELLO_VERSION, True, b"\x01" * 16)
