@@ -69,6 +69,9 @@ class BlockStore:
         # Ids changed since the last take_unsaved; None while every block is
         # unsaved, so a store nothing is saved from records nothing.
         self._unsaved: set[int] | None = None
+        # A set its owner may hand in and empty; every written or rolled-back
+        # id is added to it.
+        self.touched: set[int] | None = None
 
     def _check(self, block_id: int) -> None:
         if not 0 <= block_id < self.total_blocks:
@@ -90,6 +93,8 @@ class BlockStore:
             self._blocks[block_id] = bytes(data)
         if self._unsaved is not None:
             self._unsaved.add(block_id)
+        if self.touched is not None:
+            self.touched.add(block_id)
 
     def checkpoint(self, ids) -> Checkpoint:
         for bid in ids:
@@ -106,6 +111,8 @@ class BlockStore:
                 self._blocks[bid] = data
         if self._unsaved is not None:
             self._unsaved.update(cp.saved)
+        if self.touched is not None:
+            self.touched.update(cp.saved)
         cp.consumed = True
 
     def discard(self, cp: Checkpoint) -> None:

@@ -460,6 +460,7 @@ class MetadataGate:
                 data = stencil.serve_block_read(device.smap, bid, device.store.read_block(bid))
             except stencil.BlockRejected:
                 return self._reject(seq, bid)
+            device.twin_cached.add(bid)
             return wire.fragment_message(wire.FrameKind.META_READ_RESP, seq, data)
         if kind != wire.FrameKind.META_WRITE_REQ or len(blob) != 4 + BLOCK_SIZE:
             return self._reject(seq, bid)
@@ -480,7 +481,16 @@ class MetadataGate:
             device.smap.classes[bid] = stencil.CLASS_METADATA
             self.current.marked.add(bid)
         device.store.write_block(bid, merged)
-        return [wire.Frame(wire.FrameKind.META_WRITE_RESP, seq, wire.FRAG_HEADER.pack(0) + b"\x00")]
+        # The twin keeps its bytes only if the gate serves exactly them; either
+        # way it holds no older view of the block that would need dropping.
+        kept = stencil.serve_block_read(device.smap, bid, merged) == blob[4:]
+        device.view_changed.discard(bid)
+        if kept:
+            device.twin_cached.add(bid)
+        else:
+            device.twin_cached.discard(bid)
+        status = wire.META_WRITE_KEPT if kept else b"\x00"
+        return [wire.Frame(wire.FrameKind.META_WRITE_RESP, seq, wire.FRAG_HEADER.pack(0) + status)]
 
     def _reject(self, seq: int, bid: int) -> list[wire.Frame]:
         self.device.metrics.rejects_served += 1
@@ -526,6 +536,13 @@ class DeviceCore:
         # Blocks whose bytes or map entry changed since the last refresh. A
         # scrub's zeroing is left out: it never touches what the map is read from.
         self.stencil_dirty: set[int] = set()
+        # The blocks the twin's cache holds as the gate served them, and the
+        # blocks whose served view may have changed since the twin's last op:
+        # the store records byte changes into it, _note_map map changes.
+        self.twin_cached: set[int] = set()
+        self.view_changed: set[int] = set()
+        store.touched = self.view_changed
+        twin.reset_engine()  # it may hold blocks of another core's store
 
         meta = meta or {}
         self.device_id = bytes.fromhex(meta["device_id"]) if meta.get("device_id") else uuid.uuid4().bytes
@@ -662,6 +679,7 @@ class DeviceCore:
         self.last_replica_digest = body[:32].hex()
         if cloud:
             self.smap = stencil.StencilMap.of_entries(self.store.total_blocks, entries)
+            self.view_changed |= self.twin_cached  # the new map may serve any block anew
 
     def fetch_replica_digest(self) -> str:
         """Ask the replica for its durable metadata digest (rides a HELLO)."""
@@ -712,7 +730,7 @@ class DeviceCore:
     def _run_local(self, pending: PendingOp) -> None:
         self.gate.current = pending
         try:
-            frames = wire.fragment_message(
+            frames = self._invalidate(pending.seq) + wire.fragment_message(
                 wire.FrameKind.FILEOP, pending.seq, wire.encode_fileop(pending.op)
             )
             blob = wire.accept_message(self.channel.delegate(frames), wire.FrameKind.TRACE, pending.seq)
@@ -722,6 +740,25 @@ class DeviceCore:
             pending.local_violation = str(exc)
         finally:
             self.gate.current = None
+
+    def _invalidate(self, seq: int) -> list[wire.Frame]:
+        """The INVALIDATE frame naming the blocks the twin caches whose
+        served view may have changed since its last op, or no frame.
+
+        Ids too many for one frame drop the twin's whole cache instead, the
+        direct way a rollback does; its engine keeps its fds, which the op
+        about to run may use.
+        """
+        stale = sorted(self.view_changed & self.twin_cached)
+        self.view_changed.clear()
+        if not stale:
+            return []
+        if len(stale) > wire.INVALIDATE_MAX:
+            self.twin.cache.clear()
+            self.twin_cached.clear()
+            return []
+        self.twin_cached.difference_update(stale)
+        return wire.fragment_message(wire.FrameKind.INVALIDATE, seq, wire.encode_block_ids(stale))
 
     # -- speculative execution ----------------------------------------------------
 
@@ -743,6 +780,13 @@ class DeviceCore:
         if any(i != pending.file_inode for i in inodes):
             pending.local_violation = "inline payload advised into another inode"
             return
+        cursor = pending.pos_before
+        for seg in local.segments:
+            start = cursor % BLOCK_SIZE
+            if seg.kind == SegKind.BLOCK and (seg.offset != start or start + seg.length > BLOCK_SIZE):
+                pending.local_violation = "payload advised at another offset than the write's"
+                return
+            cursor += seg.length
         inode = pending.file_inode
         cp = pending.checkpoint
         for req in local.trace:
@@ -979,6 +1023,7 @@ class DeviceCore:
             if entries:
                 before = {bid: self.smap.entry(bid) for bid, _, _ in entries}
                 self.smap.apply_delta(entries)
+                self._note_map(before)
                 # A later rollback must keep this op's changes.
                 for p in self.pending:
                     for bid in before:
@@ -992,7 +1037,10 @@ class DeviceCore:
             self._scrub({**self.smap.before, **(undo or {})})
 
     def _note_map(self, before) -> None:
-        """Keep, for every pending op, the first entry each changing block had."""
+        """Record the blocks whose map entry changes, given the entries they
+        had: for the twin's cache, and for every pending op the first entry
+        each had."""
+        self.view_changed.update(before)
         for p in self.pending:
             for bid, entry in before.items():
                 p.map_undo.setdefault(bid, entry)
@@ -1061,8 +1109,9 @@ class DeviceCore:
             self._request(wire.NetKind.ABORT, pending.seq)
         self.next_seq = pending.seq
         # The local twin may have installed state for aborted ops; force a
-        # fresh engine and lazy reopen/reseek of every surviving fd.
+        # fresh engine and cache, and lazy reopen/reseek of every surviving fd.
         self.twin.reset_engine()
+        self.twin_cached.clear()
         for entry in self.fds.values():
             entry.twin_unknown = True
             entry.twin_pos = -1

@@ -1,9 +1,10 @@
 """The untrusted local twin: the filesystem engine run outside trust.
 
 The twin receives delegated FileOps over the 4KB channel, executes them with
-the shared engine, and reaches all metadata through channel round trips that
-the device core's stencil gate answers. Attack behaviors wrap the twin and
-transform its honest output; the trusted core is never touched.
+the shared engine, and reaches metadata through its block cache and channel
+round trips that the device core's stencil gate answers. Attack behaviors
+wrap the twin and transform its honest output; the trusted core is never
+touched.
 """
 
 from __future__ import annotations
@@ -55,20 +56,21 @@ class SyncChannel:
 class ChannelAccessor(MetadataAccessor):
     """Metadata reads/writes expressed as channel frames through the gate.
 
-    One accessor serves one FileOp. It keeps each block it read, because the
-    gate serves a block the same way for the whole op, and drops a block when
-    it writes it: the gate merges the write, so only the gate knows the result.
+    Reads come from the twin's block cache, which holds each block as the
+    gate last served it, and go to the gate on a miss. A write goes to the
+    gate, which merges it: the cache keeps the written bytes only when the
+    gate answers that it serves exactly them, and drops the block otherwise.
     """
 
-    def __init__(self, channel: SyncChannel, seq: int):
+    def __init__(self, channel: SyncChannel, seq: int, cache: dict[int, bytes]):
         self.channel = channel
         self.seq = seq
-        self._read: dict[int, bytes] = {}
+        self.cache = cache
 
     def read_meta(self, block_id: int) -> bytes:
-        data = self._read.get(block_id)
+        data = self.cache.get(block_id)
         if data is None:
-            data = self._read[block_id] = self._gate_read(block_id)
+            data = self.cache[block_id] = self._gate_read(block_id)
         return data
 
     def _gate_read(self, block_id: int) -> bytes:
@@ -86,12 +88,14 @@ class ChannelAccessor(MetadataAccessor):
         return data
 
     def write_meta(self, block_id: int, data: bytes) -> None:
-        self._read.pop(block_id, None)
+        self.cache.pop(block_id, None)
         blob = block_id.to_bytes(4, "little") + bytes(data)
         frames = wire.fragment_message(wire.FrameKind.META_WRITE_REQ, self.seq, blob)
-        for resp in self.channel.meta_call(frames):
-            if resp.kind == wire.FrameKind.REJECT:
-                raise AccessorRejected("block %d" % block_id)
+        resps = self.channel.meta_call(frames)
+        if any(resp.kind == wire.FrameKind.REJECT for resp in resps):
+            raise AccessorRejected("block %d" % block_id)
+        if wire.reassemble_message(resps) == wire.META_WRITE_KEPT:
+            self.cache[block_id] = bytes(data)
 
 
 class EvilBehavior:
@@ -108,19 +112,32 @@ class EvilBehavior:
 
 
 class LocalTwin:
-    """Runs the shared engine against gate-served metadata."""
+    """Runs the shared engine against gate-served metadata.
+
+    The twin keeps one metadata block cache across FileOps, as a file
+    system outside the TEE keeps its buffer cache. Before a FileOp the
+    device may send an INVALIDATE frame naming the cached blocks whose
+    served view has changed since; the twin drops them. The device resets
+    the engine and the cache together when it rolls ops back.
+    """
 
     def __init__(self, behavior: EvilBehavior | None = None):
         self.behavior = behavior or EvilBehavior()
         self.engine: Engine | None = None
+        self.cache: dict[int, bytes] = {}
 
     def reset_engine(self) -> None:
         self.engine = None
+        self.cache.clear()
 
     def execute(self, channel: SyncChannel, frames) -> list[wire.Frame]:
+        if frames[0].kind == wire.FrameKind.INVALIDATE:
+            for bid in wire.decode_block_ids(wire.reassemble_message(frames[:1])):
+                self.cache.pop(bid, None)
+            frames = frames[1:]
         blob = wire.reassemble_message(frames)
         op = wire.decode_fileop(blob, seq=frames[0].seq)
-        accessor = ChannelAccessor(channel, op.seq)
+        accessor = ChannelAccessor(channel, op.seq, self.cache)
         if self.engine is None:
             self.engine = Engine(accessor)
         else:

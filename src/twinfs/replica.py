@@ -38,6 +38,12 @@ from twinfs.minifs import (
 ERR_UNKNOWN_TXN = 1
 ERR_BAD_MESSAGE = 2
 ERR_BAD_STATE = 3
+ERR_STAGED_FULL = 4
+
+# The most ops a session stages: twice the most an honest device leaves
+# staged, its 64 ops in flight plus 64 validated ones awaiting their group
+# commit. A peer that never commits is refused there.
+STAGED_MAX = 256
 
 _J_STAGED = 1
 _J_COMMIT = 2
@@ -48,6 +54,10 @@ _J_HEAD = struct.Struct("<BQ")  # kind, seq; block entries follow
 
 class BadImageError(Exception):
     pass
+
+
+class StagedFull(Exception):
+    """A FILEOP arrived with STAGED_MAX ops staged."""
 
 
 class ReplicaSession(MetadataAccessor):
@@ -76,6 +86,9 @@ class ReplicaSession(MetadataAccessor):
         self._last_stencil: stencil.StencilMap | None = None
         self._unsent: set[int] = set()
         self.engine: Engine | None = None
+        # Whether the last message answered was refused for good: a server
+        # closes the connection after that reply.
+        self.refused = False
 
     # -- bootstrap and durable state -------------------------------------
 
@@ -179,7 +192,10 @@ class ReplicaSession(MetadataAccessor):
     # -- 2PC operations ------------------------------------------------------
 
     def replay_fileop(self, op) -> tuple[OpOutcome, bool]:
-        """Execute one delegated op against staged state; stage its delta."""
+        """Execute one delegated op against staged state; stage its delta.
+        Raises StagedFull with STAGED_MAX ops staged."""
+        if len(self.staged) >= STAGED_MAX:
+            raise StagedFull("%d ops staged, none committed" % len(self.staged))
         if op.seq != self.expected_seq:
             return OpOutcome(status=Status.SEQ_GAP), False
         self._delta = {}
@@ -268,13 +284,19 @@ class ReplicaSession(MetadataAccessor):
     # -- message handling -----------------------------------------------------
 
     def handle_message(self, raw: bytes) -> bytes:
-        """Answer one message; one that does not decode gets ERROR ERR_BAD_MESSAGE."""
+        """Answer one message; one that does not decode gets ERROR
+        ERR_BAD_MESSAGE, and a FILEOP past the staged cap ERROR
+        ERR_STAGED_FULL, which sets `refused`."""
         seq = 0
+        self.refused = False
         try:
             kind, seq, body = wire.decode_net(raw)
             return self._answer(kind, seq, body)
         except wire.DecodeError as exc:
             return _error(seq, ERR_BAD_MESSAGE, str(exc))
+        except StagedFull as exc:
+            self.refused = True
+            return _error(seq, ERR_STAGED_FULL, str(exc))
 
     def _answer(self, kind: wire.NetKind, seq: int, body: bytes) -> bytes:
         if kind == wire.NetKind.HELLO:
@@ -311,7 +333,8 @@ class _Handler(socketserver.BaseRequestHandler):
     """One device connection. A peer may idle between messages for as long
     as it likes, but holds the handler to at most `wire.NET_REQUEST_MAX`
     bytes a message and `server.read_timeout` seconds from a message's first
-    byte to its last; past either bound it is closed."""
+    byte to its last; past either bound it is closed. So is a connection
+    whose session refuses a FILEOP past the staged cap, after that reply."""
 
     def setup(self):
         # Replies are small writes the device waits on; send them at once.
@@ -354,6 +377,8 @@ class _Handler(socketserver.BaseRequestHandler):
                     continue
                 with server.lock_for(session):
                     self.request.sendall(session.handle_message(raw))
+                    if session.refused:
+                        return
         except (wire.ChannelClosed, ConnectionError, OSError):
             pass
 

@@ -32,6 +32,8 @@ FRAME_PAYLOAD_MAX = FRAME_SIZE - FRAME_HEADER.size  # 4085
 FRAG_HEADER = struct.Struct("<H")  # offset of this chunk in the message
 FRAG_CHUNK_MAX = FRAME_PAYLOAD_MAX - FRAG_HEADER.size  # 4083
 MESSAGE_FRAMES_MAX = 64  # the most frames of one message the device accepts
+INVALIDATE_MAX = FRAG_CHUNK_MAX // 4  # the block ids one INVALIDATE frame holds: 1,020
+META_WRITE_KEPT = b"\x01"  # META_WRITE_RESP body: the gate serves the written bytes as they are
 
 _FILEOP = struct.Struct("<BIIQ16s")  # op, fd, flags, count, name_token
 _TRACE_HEAD = struct.Struct("<BII")  # flags, status, entry count
@@ -77,6 +79,7 @@ class FrameKind(IntEnum):
     META_WRITE_REQ = 5
     META_WRITE_RESP = 6
     REJECT = 7
+    INVALIDATE = 8
 
 
 class NetKind(IntEnum):
@@ -162,6 +165,17 @@ def accept_message(frames, kind: FrameKind, seq: int) -> bytes:
     if any(frame.kind != kind or frame.seq != seq for frame in frames):
         raise DecodeError("frame of another kind or op in a %s message for seq %d" % (kind, seq))
     return reassemble_message(frames)
+
+
+def encode_block_ids(ids) -> bytes:
+    return struct.pack("<%dI" % len(ids), *ids)
+
+
+@decoder
+def decode_block_ids(raw: bytes) -> tuple[int, ...]:
+    if len(raw) % 4:
+        raise DecodeError("block id list of %d bytes" % len(raw))
+    return struct.unpack("<%dI" % (len(raw) // 4), raw)
 
 
 # -- FileOp ---------------------------------------------------------------

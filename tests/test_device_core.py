@@ -239,7 +239,8 @@ class TestCacheAndMemo:
 
 
 class TestTwinReadCache:
-    """The local twin reads each metadata block once per op through the gate."""
+    """The local twin reads a metadata block through the gate once, until the
+    device invalidates it or resets the twin."""
 
     @staticmethod
     def _count_meta_reads(dev):
@@ -253,8 +254,9 @@ class TestTwinReadCache:
         dev = system.device
         fd = dev.open("f", OpFlag.CREATE)
         reads = self._count_meta_reads(dev)
-        dev.write(fd, b"x" * 4096)  # superblock, inode table, bitmap
-        assert reads() == 2
+        # The bitmap: the open left the superblock and inode table cached.
+        dev.write(fd, b"x" * 4096)
+        assert reads() == 1
         dev.fsync(fd)
 
     def test_read_after_own_write_goes_back_to_the_gate(self):
@@ -293,6 +295,211 @@ class TestTwinReadCache:
         assert seen["after"] == seen["served"]
         assert b"J" not in seen["after"][start:end]
         dev.close(fd)
+
+    @staticmethod
+    def _watch(dev):
+        """Each INVALIDATE and META_READ_REQ frame the channel carries, as
+        (kind, block ids)."""
+        seen = []
+
+        def tap(raw):
+            frame = wire.decode_frame(raw)
+            if frame.kind in (wire.FrameKind.INVALIDATE, wire.FrameKind.META_READ_REQ):
+                seen.append((frame.kind, wire.decode_block_ids(frame.payload[2:])))
+
+        dev.channel.taps.append(tap)
+        return seen
+
+    @staticmethod
+    def _reread(seen, block) -> bool:
+        """Whether the twin was told to drop `block` and then read it again."""
+        kinds = [kind for kind, ids in seen if block in ids]
+        return kinds[:2] == [wire.FrameKind.INVALIDATE, wire.FrameKind.META_READ_REQ]
+
+    def test_second_open_of_a_path_reads_nothing_through_the_gate(self, system):
+        dev = system.device
+        dev.close(dev.open("f", OpFlag.CREATE))
+        seen = self._watch(dev)
+        dev.close(dev.open("f"))
+        assert [ids for kind, ids in seen if kind == wire.FrameKind.META_READ_REQ] == []
+
+    def test_device_inline_write_makes_the_next_op_reread_the_block(self, system):
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        tbid, _, _ = dev.sb.inline_window(dev.fds[fd].inode)
+        dev.write(fd, b"i" * 30)  # the device writes the payload into the table block
+        seen = self._watch(dev)
+        dev.close(dev.open("g", OpFlag.CREATE))
+        assert self._reread(seen, tbid)
+        dev.fsync(fd)
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    @pytest.mark.parametrize("stencil_source", ["device", "cloud"])
+    def test_truncate_makes_the_next_op_reread_the_block(self, stencil_source):
+        system = build_system(total_blocks=256, inode_count=32, stencil_source=stencil_source)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        tbid, _, _ = dev.sb.inline_window(dev.fds[fd].inode)
+        dev.write(fd, bytes(30))  # zeros: the scrub writes nothing, so only the map change names the block
+        dev.fsync(fd)
+        dev.close(fd)
+        fd = dev.open("f", OpFlag.TRUNC)
+        seen = self._watch(dev)
+        dev.fsync(fd)  # its verdict turns the inline window back into metadata
+        dev.close(dev.open("g", OpFlag.CREATE))
+        assert self._reread(seen, tbid)
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+    def test_store_write_alone_names_a_cached_block(self):
+        # The gate serves an unused block as zeros, so a twin may hold one
+        # that an emergency write then fills; no map change names it.
+        system = build_system(total_blocks=256, inode_count=32, emergency_bytes=8192)
+        dev = system.device
+        block = dev.emergency["blocks"][0]
+        dev.twin_cached.add(block)
+        dev.emergency_write(0, b"e" * 10)
+        seen = self._watch(dev)
+        dev.close(dev.open("g", OpFlag.CREATE))
+        assert any(kind == wire.FrameKind.INVALIDATE and block in ids for kind, ids in seen)
+
+    def test_cloud_hello_names_every_cached_block(self):
+        system = build_system(total_blocks=256, inode_count=32, stencil_source="cloud")
+        dev = system.device
+        dev.close(dev.open("f", OpFlag.CREATE))
+        held = sorted(dev.twin_cached)
+        dev.fetch_replica_digest()  # the HELLO ack replaces the whole map
+        seen = self._watch(dev)
+        dev.close(dev.open("g", OpFlag.CREATE))
+        assert seen[0] == (wire.FrameKind.INVALIDATE, tuple(held))
+
+    def test_rollback_makes_the_next_op_reread_its_blocks(self):
+        system = build_system(total_blocks=256, inode_count=32, attack="drop-write")
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        tbid, _, _ = dev.sb.inline_window(dev.fds[fd].inode)
+        dev.write(fd, b"X" * 5000)
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert system.twin.cache == {} and dev.twin_cached == set()
+        seen = self._watch(dev)
+        dev.close(dev.open("g", OpFlag.CREATE))
+        reads = [ids[0] for kind, ids in seen if kind == wire.FrameKind.META_READ_REQ]
+        assert 0 in reads and tbid in reads  # a fresh engine reads the superblock first
+
+    def test_too_many_ids_for_one_frame_drop_the_whole_cache(self, system, monkeypatch):
+        monkeypatch.setattr(wire, "INVALIDATE_MAX", 0)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        tbid, _, _ = dev.sb.inline_window(dev.fds[fd].inode)
+        dev.write(fd, b"i" * 30)
+        seen = self._watch(dev)
+        dev.close(dev.open("g", OpFlag.CREATE))
+        assert (wire.FrameKind.META_READ_REQ, (tbid,)) in seen
+        assert all(kind != wire.FrameKind.INVALIDATE for kind, _ in seen)
+        dev.fsync(fd)  # the twin kept its fds: the op in flight still matches
+        assert dev.device_metadata_digest() == system.session.durable_digest()
+
+
+class ColdTwin(LocalTwin):
+    """A twin whose cache is emptied before every op: the reference whose
+    TRACEs the caching twin's must equal."""
+
+    def execute(self, channel, frames):
+        self.cache.clear()
+        return super().execute(channel, frames)
+
+
+_PATHS = ("a", "d/b", "d/c")
+_CACHE_SCRIPT = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.integers(0, 2), st.booleans()),
+        st.tuples(st.just("write"), st.integers(0, 2), st.sampled_from((20, 50, 100, 5000))),
+        st.tuples(st.just("read"), st.integers(0, 2)),
+        st.tuples(st.just("fsync"), st.integers(0, 2)),
+        st.tuples(st.just("close"), st.integers(0, 2)),
+        st.tuples(st.just("emergency"), st.integers(0, 8192 - 100)),
+        st.tuples(st.just("offline"), st.integers(0, 2), st.sampled_from((20, 5000))),
+    ),
+    max_size=24,
+)
+
+
+def _traces_of(script, twin_cls, stencil_source, attack, attack_at):
+    """The TRACE frames of a script run on a system whose twin is a
+    `twin_cls`, and what each call returned or raised."""
+    from twinfs.device_core import DeviceError
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "LocalTwin", twin_cls)
+        system = build_system(
+            total_blocks=256, inode_count=32, seed=5, stencil_source=stencil_source,
+            emergency_bytes=8192,
+        )
+    if attack is not None:
+        system.twin.behavior = harness.inject_attack(attack, fire_at=attack_at)
+    dev = system.device
+    traces, results, fds = [], [], {}
+    dev.channel.taps.append(lambda raw: raw[0] == wire.FrameKind.TRACE and traces.append(raw))
+
+    def call(step):
+        name, *args = step
+        if name == "open":
+            if args[0] in fds:
+                dev.close(fds.pop(args[0]))
+            flags = OpFlag.CREATE | (OpFlag.TRUNC if args[1] else 0)
+            fds[args[0]] = dev.open(_PATHS[args[0]], flags)
+        elif name == "emergency":
+            dev.emergency_write(args[0], b"E" * 100)
+        elif args[0] not in fds:
+            return None
+        elif name in ("write", "offline"):
+            fd = fds[args[0]]
+            if dev.fds[fd].pos + args[1] > 12 * BLOCK_SIZE:
+                return None
+            if name == "offline":
+                system.transport.sever()
+            try:
+                dev.write(fd, b"w" * args[1])
+            finally:
+                if name == "offline":
+                    system.transport.restore()
+                    dev.reconnect_recover()  # flushes the write
+        elif name == "read":
+            fd = fds[args[0]]
+            dev.cache.clear_all()
+            dev.memo.entries.clear()
+            dev.lseek(fd, 0)
+            return dev.read(fd, 9000)
+        elif name == "fsync":
+            dev.fsync(fds[args[0]])
+        else:
+            dev.close(fds.pop(args[0]))
+
+    for step in script:
+        try:
+            results.append(call(step))
+        except (DeviceError, OfflineError, OutOfRangeError) as exc:
+            results.append(type(exc).__name__)
+    return traces, results
+
+
+class TestTwinCacheIsInvisible:
+    """The twin's cache changes no TRACE: across rollbacks, scrubs,
+    truncates, inline promotes, emergency writes and the offline flush,
+    a caching twin's TRACEs equal those of a twin that reads every block
+    through the gate afresh in each op."""
+
+    @pytest.mark.parametrize("stencil_source", ["device", "cloud"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        script=_CACHE_SCRIPT,
+        attack=st.sampled_from((None,) + harness.ATTACKS),
+        attack_at=st.integers(1, 6),
+    )
+    def test_traces_equal_a_cold_twin(self, stencil_source, script, attack, attack_at):
+        cached = _traces_of(script, LocalTwin, stencil_source, attack, attack_at)
+        cold = _traces_of(script, ColdTwin, stencil_source, attack, attack_at)
+        assert cached == cold
 
 
 def _count_replies(dev):
@@ -812,6 +1019,24 @@ class TestUntrustedReads:
 class TestAttacks:
     def _attacked(self, attack, **kw):
         return build_system(total_blocks=256, inode_count=32, attack=attack, **kw)
+
+    def test_payload_advised_at_another_offset_is_a_local_reject(self):
+        class Shift(EvilBehavior):
+            def on_outcome(self, op, outcome):
+                if op.op == OpCode.WRITE:
+                    outcome.segments = tuple(replace(seg, offset=seg.offset + 1) for seg in outcome.segments)
+                return outcome
+
+        system = build_system(total_blocks=256, inode_count=32)
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        system.twin.behavior = Shift()
+        dev.write(fd, b"x" * 4096)  # a shifted page would not be 4096 bytes
+        system.twin.behavior = EvilBehavior()
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.metrics.mismatches == 1
+        assert dev.device_metadata_digest() == system.session.durable_digest()
 
     def test_drop_write_detected_and_rolled_back(self):
         system = self._attacked("drop-write")
@@ -1735,6 +1960,20 @@ class TestOffline:
         dev.reconnect_recover()
         dev.fsync(fd)
         assert dev.fstat(fd) == 5100
+
+    def test_queued_write_past_a_rolled_back_one_fails_its_verdict(self):
+        system = build_system(total_blocks=256, inode_count=32, attack="drop-write")
+        dev = system.device
+        fd = dev.open("f", OpFlag.CREATE)
+        dev.write(fd, b"w" * 100)  # its verdict, read at reconnect, rolls it back
+        system.transport.sever()
+        dev.write(fd, b"w" * 5000)  # queued at offset 100
+        system.transport.restore()
+        # The twins put the flushed write at offset 0, the end of the file.
+        dev.reconnect_recover()
+        with pytest.raises(VerificationFailedError):
+            dev.fsync(fd)
+        assert dev.device_metadata_digest() == system.session.durable_digest()
 
     def test_reconnect_with_nothing_pending_is_noop(self, system):
         dev = system.device

@@ -178,8 +178,8 @@ def test_channel_frames_of_a_robot_run_are_pinned(monkeypatch):
 
     monkeypatch.setattr(harness, "build_system", tapped)
     harness.run_workload("robot", seed=0)
-    assert count[0] == 277
-    assert digest.hexdigest() == "4968b05447b8f6dba03a56f67a3dc45c7451fe0619910b52fad4642662074f9e"
+    assert count[0] == 166
+    assert digest.hexdigest() == "9698477c890613ec604ca29d145b44cc282bb97f23112d2a9fccbca1310d3066"
 
 
 class TestAttackInjection:

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from twinfs import journal, wire
 from twinfs.blockstore import BLOCK_SIZE
 from twinfs.minifs import FileOp, OpCode, OpFlag, Status, mkfs
-from twinfs.replica import ERR_BAD_MESSAGE, ERR_BAD_STATE, BadImageError, ReplicaServer, ReplicaSession
+from twinfs.replica import (
+    ERR_BAD_MESSAGE,
+    ERR_BAD_STATE,
+    ERR_STAGED_FULL,
+    STAGED_MAX,
+    BadImageError,
+    ReplicaServer,
+    ReplicaSession,
+)
 
 
 def token(name):
@@ -535,6 +543,42 @@ class TestMessageHandling:
         assert wire.decode_net(raw)[:2] == (wire.NetKind.TRACE_RESP, 1)
 
 
+    def test_fileop_past_the_staged_cap_is_refused_until_a_commit(self):
+        session = fresh_session()
+        fstat = wire.encode_fileop(FileOp(OpCode.FSTAT, 0, 0, 0))
+        ask = lambda kind, seq, body=b"": wire.decode_net(session.handle_message(wire.encode_net(kind, seq, body)))
+        for seq in range(1, STAGED_MAX + 1):
+            assert ask(wire.NetKind.FILEOP, seq, fstat)[0] == wire.NetKind.TRACE_RESP
+        kind, seq, body = ask(wire.NetKind.FILEOP, STAGED_MAX + 1, fstat)
+        assert (kind, seq, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, STAGED_MAX + 1, ERR_STAGED_FULL)
+        assert session.refused and len(session.staged) == STAGED_MAX
+        assert ask(wire.NetKind.COMMIT, STAGED_MAX)[0] == wire.NetKind.ACK
+        assert not session.refused
+        assert ask(wire.NetKind.FILEOP, STAGED_MAX + 1, fstat)[:2] == (wire.NetKind.TRACE_RESP, STAGED_MAX + 1)
+
+    def test_pipelined_honest_device_stays_under_the_staged_cap(self):
+        from twinfs.device_core import MAX_IN_FLIGHT
+        from twinfs.harness import build_system
+
+        system = build_system(total_blocks=256, inode_count=32)
+        session, dev = system.session, system.device
+        depth = []
+        replay = session.replay_fileop
+
+        def counted(op):
+            depth.append(len(session.staged))
+            return replay(op)
+
+        session.replay_fileop = counted
+        fd = dev.open("f", OpFlag.CREATE)
+        for _ in range(6 * MAX_IN_FLIGHT):
+            dev.write(fd, b"x")
+        dev.fsync(fd)
+        # 64 ops in flight on top of 64 validated ones awaiting their group commit.
+        assert MAX_IN_FLIGHT < max(depth) <= 2 * MAX_IN_FLIGHT < STAGED_MAX
+        assert dev.metrics.mismatches == 0
+
+
 class TestServer:
     def test_sessions_isolated_by_device(self, tmp_path):
         import socket
@@ -709,6 +753,30 @@ class TestServer:
                 sock.sendall(wire.encode_net(wire.NetKind.HELLO, 0, wire.encode_hello(device_id)))
                 kind, seq, body = wire.decode_net(wire.read_net_message(sock.recv))
                 assert (kind, seq, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, 0, ERR_BAD_STATE)
+                assert sock.recv(1) == b""
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_peer_that_never_commits_is_refused_and_closed(self):
+        import socket
+
+        server = ReplicaServer(("127.0.0.1", 0))
+        server.register_image(mkfs(64, 32).metadata_image)
+        server.serve_in_thread()
+        fstat = wire.encode_fileop(FileOp(OpCode.FSTAT, 0, 0, 0))
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+
+                def ask(kind, seq, body):
+                    sock.sendall(wire.encode_net(kind, seq, body))
+                    return wire.decode_net(wire.read_net_message(sock.recv))
+
+                assert ask(wire.NetKind.HELLO, 0, wire.encode_hello(b"\x07" * 16))[0] == wire.NetKind.ACK
+                for seq in range(1, STAGED_MAX + 1):
+                    assert ask(wire.NetKind.FILEOP, seq, fstat)[0] == wire.NetKind.TRACE_RESP
+                kind, _, body = ask(wire.NetKind.FILEOP, STAGED_MAX + 1, fstat)
+                assert (kind, wire.decode_error(body)[0]) == (wire.NetKind.ERROR, ERR_STAGED_FULL)
                 assert sock.recv(1) == b""
         finally:
             server.shutdown()

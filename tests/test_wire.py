@@ -340,6 +340,7 @@ def test_decoders_refuse_arbitrary_bytes_with_decode_error(raw, payloads, offset
         lambda: wire.decode_stencil_delta(raw),
         lambda: wire.decode_stencil_delta(raw, offset),
         lambda: wire.decode_error(raw),
+        lambda: wire.decode_block_ids(raw),
     ]
     calls += [lambda op=op: wire.decode_outcome(op, raw) for op in OpCode]
     calls += [lambda op=op: wire.decode_outcome_at(op, raw) for op in OpCode]
@@ -461,3 +462,26 @@ class TestGoldenVectors:
         assert frame.kind == wire.FrameKind.META_READ_REQ
         assert frame.seq == 5
         assert frame.payload[2:6] == (42).to_bytes(4, "little")
+
+    def test_invalidate_and_kept_write_vectors(self):
+        frames = [bytes.fromhex(v.strip()) for k, v in _protocol_vectors() if k == "frame"]
+        invalidate, kept = frames[1], frames[2]
+        # independent field extraction, no codec involved
+        assert invalidate[0] == 8 and struct.unpack_from("<QH", invalidate, 1) == (5, 10)
+        assert struct.unpack_from("<H2I", invalidate, 11) == (0, 3, 42)
+        assert kept[0] == 6 and kept[11:] == b"\x00\x00\x01"
+        pad = lambda raw: raw + bytes(wire.FRAME_SIZE - len(raw))
+        frame = wire.decode_frame(pad(invalidate))
+        assert frame.kind == wire.FrameKind.INVALIDATE and frame.seq == 5
+        assert wire.decode_block_ids(wire.reassemble_message([frame])) == (3, 42)
+        frame = wire.decode_frame(pad(kept))
+        assert frame.kind == wire.FrameKind.META_WRITE_RESP
+        assert wire.reassemble_message([frame]) == wire.META_WRITE_KEPT
+
+    def test_invalidate_frame_holds_its_maximum(self):
+        ids = list(range(wire.INVALIDATE_MAX))
+        frames = wire.fragment_message(wire.FrameKind.INVALIDATE, 1, wire.encode_block_ids(ids))
+        assert len(frames) == 1
+        assert wire.decode_block_ids(wire.reassemble_message(frames)) == tuple(ids)
+        more = wire.encode_block_ids(ids + [0])
+        assert len(wire.fragment_message(wire.FrameKind.INVALIDATE, 1, more)) == 2
